@@ -11,7 +11,7 @@
 // core's headline property: once warm, the fused pipeline's
 // advance+swap steady state performs zero heap allocations.
 //
-// Measurement protocol (same discipline as micro_comm):
+// Measurement protocol:
 //  * steady-state loop = advance + frontier swap; the frontier reaches
 //    its fixpoint (every vertex with an in-edge) during warm-up, so
 //    every measured iteration does identical work;

@@ -19,8 +19,8 @@
 // device-harvested W counters must be bit-identical across every
 // measured width. The >= 2x wall-clock gate at 4 workers is enforced
 // only when the host actually has >= 4 hardware threads (CI containers
-// with 1-2 cores cannot run 4 workers concurrently, mirroring
-// micro_comm's wall-gate policy); the speedup is always reported.
+// with 1-2 cores cannot run 4 workers concurrently); the speedup is
+// always reported.
 //
 // Results are written as machine-readable JSON (--json=PATH, default
 // BENCH_parallel.json) for CI trend tracking.

@@ -53,8 +53,12 @@ echo "==> micro_parallel acceptance gate (writes BENCH_parallel.json)"
 # gate at 4 workers arms only when the host has >= 4 hardware threads.
 "$BUILD/bench/micro_parallel" --json="$BUILD/BENCH_parallel.json"
 
-echo "==> micro_comm acceptance gate"
-"$BUILD/bench/micro_comm"
+echo "==> comm-layer suites (explicit)"
+# Exact payload round-trips through CommBus at 1-8 vGPUs, and zero
+# steady-state heap allocations across push -> drain -> release ->
+# flush_relays over {flat, two-level} x {raw, auto} (counted by the
+# test binary's global operator new hook).
+"$BUILD/tests/mgg_tests" --gtest_filter='CommBus.*:Message.*'
 
 echo "==> micro_wire acceptance gate"
 # Compressed frontier pushes: >= 30% modeled byte reduction under
@@ -151,9 +155,10 @@ TSAN_FILTER+=':MsBfs.*:Serve.*'
 # open-loop dispatcher admits from its own thread, and per-query
 # resolution races are claimed via the single-writer ticket protocol.
 TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
-# Two-level combine: stage_relay runs on the sender comm streams under
-# the relay mutex while flush_relays drains from the closing control
-# thread and bumps the link-split/gateway atomics.
+# Two-level combine: release_drained fills the relay ledger from the
+# receivers' threads under the relay mutex, while flush_relays prices
+# and recycles it from the closing control thread and bumps the
+# link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
 

@@ -35,7 +35,7 @@ run analysis_frontier --json="$OUT/frontier_trace"
 run ext_multinode
 
 echo "==> micro_operators"
-"$BUILD/bench/micro_operators" --benchmark_min_time=0.05 \
+"$BUILD/bench/micro_operators" --json="$OUT/BENCH_operators.json" \
   | tee "$OUT/micro_operators.txt"
 
 echo "all results in $OUT/"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "vgpu/fault.hpp"
@@ -382,7 +384,6 @@ double CommBus::consult_transfer_faults(int src, int dst,
   vgpu::FaultInjector* injector = machine_->fault_injector();
   if (injector == nullptr) return slowdown;
   const int max_retries = max_retries_.load(std::memory_order_relaxed);
-  const double base = backoff_base_s_.load(std::memory_order_relaxed);
   int attempt = 0;
   for (;;) {
     const vgpu::TransferDecision decision = injector->on_transfer(src, dst);
@@ -405,13 +406,14 @@ double CommBus::consult_transfer_faults(int src, int dst,
     // seconds explode long before that) and the total is capped so a
     // high retry bound models a saturated retry loop, not
     // astronomical time.
+    static constexpr double kBackoffBaseS = 50e-6;
     static constexpr int kMaxBackoffExponent = 20;
     static constexpr double kBackoffTotalCapFactor =
         static_cast<double>(1ULL << 22);
     const int exponent = std::min(attempt, kMaxBackoffExponent);
-    backoff_s =
-        std::min(backoff_s + base * static_cast<double>(1ULL << exponent),
-                 base * kBackoffTotalCapFactor);
+    backoff_s = std::min(
+        backoff_s + kBackoffBaseS * static_cast<double>(1ULL << exponent),
+        kBackoffBaseS * kBackoffTotalCapFactor);
     ++attempt;
     comm_retries_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -433,81 +435,85 @@ void CommBus::push(int src, int dst, Message message) {
   // transfer cannot start before the kernel that packaged its payload
   // finished, no matter when the comm-stream worker gets to the task.
   const double ready_s = sender.modeled_compute_time();
-  sender.comm_stream().submit(
-      [this, src, dst, epoch, ready_s, msg = std::move(message)]() mutable {
-        if (epoch != epoch_.load(std::memory_order_acquire)) {
-          // The run this push belongs to was reset while the task sat
-          // on the comm stream; drop the stale payload.
-          release(std::move(msg));
-          return;
-        }
-        const bool cross_node =
-            !machine_->interconnect().same_node(src, dst);
-        // Two-level combine: a cross-node push is staged — the sender
-        // pays the fast hop to its node's gateway for dst's node (and
-        // that hop is the fault-injection surface), the gateway ledger
-        // records the bucket for flush_relays(), and the message is
-        // still delivered to dst unchanged (the correctness path; its
-        // modeled inter-node cost is realized at the gateway flush).
-        const bool staged = cross_node && two_level_enabled();
-        const int hop_dst = staged ? elect_gateway(src, dst) : dst;
-        double slowdown = 1.0;
-        double backoff_s = 0.0;
-        if (src != hop_dst) {
-          try {
-            slowdown = consult_transfer_faults(src, hop_dst, backoff_s);
-          } catch (...) {
-            release(std::move(msg));
-            throw;
-          }
-        }
-        const std::size_t items = msg.size();
-        // A sender that is itself the gateway stages in place: no link
-        // is crossed, so no bytes move — but the items are charged
-        // here (and only here) so H item counts match the flat path
-        // exactly, with the merged hop carrying items = 0.
-        const std::size_t bytes =
-            staged && src == hop_dst ? 0 : msg.payload_bytes();
-        const double seconds =
-            machine_->interconnect().transfer_seconds(src, hop_dst, bytes) *
-                slowdown +
-            backoff_s;
-        const char* span = staged ? "push_relay"
-                           : cross_node ? "push_inter_node"
-                                        : "push";
-        machine_->device(src).add_comm_cost(seconds, bytes, items, ready_s,
-                                            span, hop_dst);
-        if (bytes > 0) machine_->interconnect().record_transfer(bytes);
-        // Every pushed byte is classified by link class: the staged
-        // hop is intra-node by construction, so with two-level on the
-        // inter-node share comes solely from the gateways' merged
-        // pushes (and direct cross-node pushes when off).
-        (staged || !cross_node ? intra_bytes_ : inter_bytes_)
-            .fetch_add(bytes, std::memory_order_relaxed);
-        switch (msg.encoding) {
-          case WireFormat::kBitmap:
-            wire_bytes_bitmap_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-          case WireFormat::kDeltaVarint:
-            wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-          default:
-            wire_bytes_raw_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-        }
-        // Counted per *pushed* message, not per wire::encode call: a
-        // broadcast proto is encoded once but cloned to every peer,
-        // and each clone is decoded on its receiver — counting here
-        // keeps encoded_vertices == decoded_vertices exact.
-        if (msg.encoding != WireFormat::kRawIds) {
-          wire_encoded_.fetch_add(items, std::memory_order_relaxed);
-        }
-        if (staged) stage_relay(src, dst, hop_dst, msg);
-        {
-          std::lock_guard<std::mutex> lock(locks_[dst]);
-          inboxes_[dst].push_back(std::move(msg));
-        }
-      });
+  auto task = [this, src, dst, epoch, ready_s,
+               msg = std::move(message)]() mutable {
+    if (epoch != epoch_.load(std::memory_order_acquire)) {
+      // The run this push belongs to was reset while the task sat
+      // on the comm stream; drop the stale payload.
+      release(std::move(msg));
+      return;
+    }
+    const bool cross_node = !machine_->interconnect().same_node(src, dst);
+    // Two-level combine: a cross-node push is staged — the sender
+    // pays the fast hop to its node's gateway for dst's node (and
+    // that hop is the fault-injection surface), and the message is
+    // still delivered to dst unchanged (the correctness path). It
+    // remembers its gateway so that, once combined, it joins that
+    // gateway's relay ledger, where flush_relays() realizes the
+    // modeled inter-node cost.
+    const bool staged = cross_node && two_level_enabled();
+    const int hop_dst = staged ? elect_gateway(src, dst) : dst;
+    msg.relay_gateway = static_cast<std::int16_t>(staged ? hop_dst : -1);
+    msg.relay_dst = static_cast<std::int16_t>(dst);
+    msg.relay_encoded = msg.encoding != WireFormat::kRawIds;
+    double slowdown = 1.0;
+    double backoff_s = 0.0;
+    if (src != hop_dst) {
+      try {
+        slowdown = consult_transfer_faults(src, hop_dst, backoff_s);
+      } catch (...) {
+        release(std::move(msg));
+        throw;
+      }
+    }
+    const std::size_t items = msg.size();
+    // A sender that is itself the gateway stages in place: no link
+    // is crossed, so no bytes move — but the items are charged
+    // here (and only here) so H item counts match the flat path
+    // exactly, with the merged hop carrying items = 0.
+    const std::size_t bytes =
+        staged && src == hop_dst ? 0 : msg.payload_bytes();
+    const double seconds =
+        machine_->interconnect().transfer_seconds(src, hop_dst, bytes) *
+            slowdown +
+        backoff_s;
+    const char* span = staged ? "push_relay"
+                       : cross_node ? "push_inter_node"
+                                    : "push";
+    machine_->device(src).add_comm_cost(seconds, bytes, items, ready_s,
+                                        span, hop_dst);
+    // The staged hop is intra-node by construction, so with
+    // two-level on the inter-node share comes solely from the
+    // gateways' merged pushes (and direct cross-node pushes when
+    // off).
+    count_bytes(bytes, msg.encoding, cross_node && !staged);
+    // Counted per *pushed* message, not per wire::encode call: a
+    // broadcast proto is encoded once but cloned to every peer,
+    // and each clone is decoded on its receiver — counting here
+    // keeps encoded_vertices == decoded_vertices exact.
+    if (msg.encoding != WireFormat::kRawIds) {
+      wire_encoded_.fetch_add(items, std::memory_order_relaxed);
+    }
+    std::lock_guard<std::mutex> lock(locks_[dst]);
+    inboxes_[dst].push_back(std::move(msg));
+  };
+  // The closure must stay within vgpu::Task's inline storage: a larger
+  // one is boxed, and every push would heap-allocate.
+  static_assert(sizeof(task) <= vgpu::Task::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(task)>,
+                "push closure no longer fits vgpu::Task inline storage");
+  sender.comm_stream().submit(std::move(task));
+}
+
+void CommBus::count_bytes(std::size_t bytes, WireFormat format,
+                          bool inter_node) {
+  if (bytes > 0) machine_->interconnect().record_transfer(bytes);
+  (inter_node ? inter_bytes_ : intra_bytes_)
+      .fetch_add(bytes, std::memory_order_relaxed);
+  (format == WireFormat::kBitmap        ? wire_bytes_bitmap_
+   : format == WireFormat::kDeltaVarint ? wire_bytes_delta_
+                                        : wire_bytes_raw_)
+      .fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void CommBus::set_two_level(TwoLevelPolicy policy) {
@@ -517,6 +523,9 @@ void CommBus::set_two_level(TwoLevelPolicy policy) {
     MGG_REQUIRE(static_cast<int>(policy.node_universe.size()) ==
                     machine_->num_devices(),
                 "two-level policy needs one node universe per device");
+    MGG_REQUIRE(machine_->num_devices() <=
+                    std::numeric_limits<std::int16_t>::max(),
+                "two-level relay ids are 16-bit");
   }
   {
     std::lock_guard<std::mutex> lock(relay_mutex_);
@@ -544,94 +553,60 @@ int CommBus::elect_gateway(int src, int dst) const {
   return base;
 }
 
-void CommBus::stage_relay(int src, int dst, int gateway,
-                          const Message& msg) {
-  RelayEntry entry;
-  {
-    std::lock_guard<std::mutex> lock(relay_mutex_);
-    if (!relay_entry_pool_.empty()) {
-      entry = std::move(relay_entry_pool_.back());
-      relay_entry_pool_.pop_back();
-    }
-  }
-  entry.src = src;
-  entry.dst = dst;
-  entry.tag = msg.tag;
-  entry.vertex_slots = msg.vertex_slots;
-  entry.value_slots = msg.value_slots;
-  entry.was_encoded = msg.encoding != WireFormat::kRawIds;
-  if (entry.was_encoded) {
-    // The sender compressed its bucket before the intra-node hop; the
-    // gateway must decode to merge. Decode a scratch copy here (the
-    // delivered message must stay encoded — the receiver's drain path
-    // decodes and charges it exactly as in flat mode) and charge the
-    // gateway's decode kernel at flush time.
-    Message scratch;
-    scratch.encoding = msg.encoding;
-    scratch.wire = msg.wire;
-    scratch.wire_items = msg.wire_items;
-    wire::decode(scratch);
-    entry.vertices = std::move(scratch.vertices);
-  } else {
-    entry.vertices = msg.vertices;
-  }
-  std::lock_guard<std::mutex> lock(relay_mutex_);
-  relay_[gateway].push_back(std::move(entry));
-}
-
 void CommBus::flush_relays() {
   if (!two_level_enabled()) return;
   // Runs single-threaded in the superstep-close barrier completion,
-  // after every sender's comm stream synchronized — no staging races
-  // in; the lock is belt-and-braces against misuse.
+  // after every receiver released its drained batches — nothing joins
+  // the ledger meanwhile; the lock is belt-and-braces against misuse.
   std::lock_guard<std::mutex> lock(relay_mutex_);
   for (std::size_t g = 0; g < relay_.size(); ++g) {
-    auto& entries = relay_[g];
-    if (entries.empty()) continue;
-    // Deterministic flush order regardless of comm-stream scheduling:
-    // groups by (dst, tag), senders within a group by src — the same
-    // tag-sorted (src_gpu, tag) order the receiver's combine uses.
-    std::sort(entries.begin(), entries.end(),
-              [](const RelayEntry& a, const RelayEntry& b) {
-                if (a.dst != b.dst) return a.dst < b.dst;
+    auto& staged = relay_[g];
+    if (staged.empty()) continue;
+    // Deterministic flush order regardless of release order: groups by
+    // (dst, tag), senders within a group by src — the same tag-sorted
+    // (src_gpu, tag) order the receiver's combine uses.
+    std::sort(staged.begin(), staged.end(),
+              [](const Message& a, const Message& b) {
+                if (a.relay_dst != b.relay_dst) {
+                  return a.relay_dst < b.relay_dst;
+                }
                 if (a.tag != b.tag) return a.tag < b.tag;
-                return a.src < b.src;
+                return a.src_gpu < b.src_gpu;
               });
     vgpu::Device& gw = machine_->device(static_cast<int>(g));
-    for (const RelayEntry& e : entries) {
-      if (e.was_encoded) {
-        gw.add_kernel_cost(0, e.vertices.size(), 1, 1.0, "gateway_decode",
+    // The receiver already decoded every message; a payload that
+    // travelled compressed is decoded once more at the gateway in the
+    // modeled relay, which must read IDs to merge them.
+    for (const Message& m : staged) {
+      if (m.relay_encoded) {
+        gw.add_kernel_cost(0, m.vertices.size(), 1, 1.0, "gateway_decode",
                            vgpu::TraceCategory::kCombine);
       }
     }
-    for (std::size_t i = 0; i < entries.size();) {
+    for (std::size_t i = 0; i < staged.size();) {
+      const int dst = staged[i].relay_dst;
+      Message& merged = relay_scratch_;
+      merged.recycle();
       std::size_t j = i;
-      std::size_t staged_items = 0;
-      while (j < entries.size() && entries[j].dst == entries[i].dst &&
-             entries[j].tag == entries[i].tag) {
-        staged_items += entries[j].vertices.size();
-        ++j;
+      for (; j < staged.size() && staged[j].relay_dst == dst &&
+             staged[j].tag == staged[i].tag;
+           ++j) {
+        merged.vertices.insert(merged.vertices.end(),
+                               staged[j].vertices.begin(),
+                               staged[j].vertices.end());
       }
-      const int dst = entries[i].dst;
-      merge_scratch_.clear();
-      merge_scratch_.reserve(staged_items);
-      for (std::size_t k = i; k < j; ++k) {
-        for (const VertexT v : entries[k].vertices) {
-          merge_scratch_.push_back(v);
-        }
-      }
+      const std::size_t staged_items = merged.vertices.size();
       if (two_level_.combine == TwoLevelPolicy::Combine::kDedupMin) {
         // The surviving key set of the (src, tag)-ordered min-combine
         // is exactly the sorted unique set; sorting also makes the
         // merged sequence ascending, so the bitmap re-encode is
         // admissible when the density pays.
-        std::sort(merge_scratch_.begin(), merge_scratch_.end());
-        const auto last =
-            std::unique(merge_scratch_.begin(), merge_scratch_.end());
-        merge_scratch_.resize(
-            static_cast<std::size_t>(last - merge_scratch_.begin()));
+        std::sort(merged.vertices.begin(), merged.vertices.end());
+        merged.vertices.erase(
+            std::unique(merged.vertices.begin(), merged.vertices.end()),
+            merged.vertices.end());
       }
-      const std::size_t merged_n = merge_scratch_.size();
+      const std::size_t merged_n = merged.vertices.size();
       gateway_merges_.fetch_add(1, std::memory_order_relaxed);
       gateway_dedup_items_.fetch_add(staged_items - merged_n,
                                      std::memory_order_relaxed);
@@ -642,15 +617,11 @@ void CommBus::flush_relays() {
       // associate entry of each slot per survivor (the combined
       // winners), re-encoded once against the destination node's
       // hosted universe.
-      relay_scratch_.recycle();
-      relay_scratch_.set_layout(entries[i].vertex_slots,
-                                entries[i].value_slots, merged_n);
-      std::copy(merge_scratch_.begin(), merge_scratch_.end(),
-                relay_scratch_.vertices.begin());
+      merged.set_layout(staged[i].vertex_slots, staged[i].value_slots,
+                        merged_n);
       const WireFormat applied = wire::encode(
-          relay_scratch_, two_level_.wire_format,
-          two_level_.density_threshold, two_level_.node_universe[dst],
-          host_pool_);
+          merged, two_level_.wire_format, two_level_.density_threshold,
+          two_level_.node_universe[dst], host_pool_);
       if (applied != WireFormat::kRawIds) {
         gw.add_kernel_cost(0, merged_n, 1, 1.0,
                            applied == WireFormat::kBitmap
@@ -658,7 +629,7 @@ void CommBus::flush_relays() {
                                : "wire_encode_varint",
                            vgpu::TraceCategory::kCombine);
       }
-      const std::size_t bytes = relay_scratch_.payload_bytes();
+      const std::size_t bytes = merged.payload_bytes();
       // The gateway hop is a first-class fault-injection surface,
       // retried and backed off like any direct push.
       double backoff_s = 0.0;
@@ -672,26 +643,10 @@ void CommBus::flush_relays() {
       // items = 0: the staged hops already counted every item once.
       gw.add_comm_cost(seconds, bytes, 0, gw.modeled_compute_time(),
                        "push_inter_node", dst);
-      machine_->interconnect().record_transfer(bytes);
-      inter_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      switch (applied) {
-        case WireFormat::kBitmap:
-          wire_bytes_bitmap_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-        case WireFormat::kDeltaVarint:
-          wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-        default:
-          wire_bytes_raw_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-      }
+      count_bytes(bytes, applied, /*inter_node=*/true);
       i = j;
     }
-    for (RelayEntry& e : entries) {
-      e.vertices.clear();
-      relay_entry_pool_.push_back(std::move(e));
-    }
-    entries.clear();
+    recycle_all(staged);
   }
 }
 
@@ -724,49 +679,34 @@ std::vector<Message>& CommBus::drain(int dst) {
 }
 
 void CommBus::decode_batch(int dst, std::vector<Message>& batch) {
-  // Stage the charge parameters first (decode resets encoding /
-  // wire_items), decode — across messages in parallel when a host
-  // pool is installed, since each message decodes into its own
-  // buffers — then issue the modeled decode charges sequentially in
-  // batch order. The receiver's kernel-charge sequence, and with it
-  // every modeled time and counter, is bit-identical to the
-  // sequential path at any pool width.
-  struct Charge {
-    std::size_t index;
-    std::size_t items;
-    const char* name;
-  };
-  std::vector<Charge> charges;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].encoding == WireFormat::kRawIds) continue;
-    charges.push_back({i, batch[i].size(),
-                       batch[i].encoding == WireFormat::kBitmap
-                           ? "wire_decode_bitmap"
-                           : "wire_decode_varint"});
-  }
-  if (charges.empty()) return;
-  if (host_pool_ != nullptr && charges.size() > 1) {
-    const std::size_t n_chunks =
-        util::ThreadPool::chunk_count(charges.size(), 1);
-    host_pool_->run_chunks(n_chunks, [&](std::size_t c) {
-      const std::size_t b =
-          util::ThreadPool::chunk_begin(charges.size(), n_chunks, c);
-      const std::size_t e =
-          util::ThreadPool::chunk_begin(charges.size(), n_chunks, c + 1);
-      for (std::size_t k = b; k < e; ++k) wire::decode(batch[charges[k].index]);
-    });
-  } else {
-    for (const Charge& c : charges) wire::decode(batch[c.index]);
-  }
-  for (const Charge& c : charges) {
+  // Issue the modeled decode charges first, sequentially in batch
+  // order (decode resets encoding / wire_items), then decode — across
+  // messages in parallel when a host pool is installed and more than
+  // one message is encoded, since each message decodes into its own
+  // buffers and raw ones are no-ops. The receiver's kernel-charge
+  // sequence, and with it every modeled time and counter, is
+  // bit-identical to the sequential path at any pool width.
+  std::size_t encoded = 0;
+  for (const Message& m : batch) {
+    if (m.encoding == WireFormat::kRawIds) continue;
+    ++encoded;
     // Modeled decode kernel: one launch touching n vertices, charged
     // to the receiver's compute timeline alongside the combine work it
     // feeds. Identical across sync modes — per-batch and per-sender
     // drains decode the same message set exactly once.
-    machine_->device(dst).add_kernel_cost(0, c.items, 1, 1.0, c.name,
-                                          vgpu::TraceCategory::kCombine);
-    wire_decoded_.fetch_add(c.items, std::memory_order_relaxed);
+    machine_->device(dst).add_kernel_cost(
+        0, m.size(), 1, 1.0,
+        m.encoding == WireFormat::kBitmap ? "wire_decode_bitmap"
+                                          : "wire_decode_varint",
+        vgpu::TraceCategory::kCombine);
+    wire_decoded_.fetch_add(m.size(), std::memory_order_relaxed);
   }
+  util::parallel_for(encoded > 1 ? host_pool_ : nullptr, batch.size(), 1,
+                     [&](std::size_t b, std::size_t e, std::size_t) {
+                       for (std::size_t k = b; k < e; ++k) {
+                         wire::decode(batch[k]);
+                       }
+                     });
 }
 
 std::vector<Message>& CommBus::drain_from(int dst, int src) {
@@ -810,13 +750,29 @@ std::vector<Message>& CommBus::drain_from(int dst, int src) {
 
 void CommBus::release_drained(int dst) {
   auto& batch = drained_[dst];
-  if (batch.empty()) return;
+  // Staged cross-node messages move on to their gateway's relay
+  // ledger; flush_relays() prices the hop from them and recycles them.
+  const auto relayed =
+      std::partition(batch.begin(), batch.end(),
+                     [](const Message& m) { return m.relay_gateway < 0; });
+  if (relayed != batch.end()) {
+    std::lock_guard<std::mutex> lock(relay_mutex_);
+    for (auto it = relayed; it != batch.end(); ++it) {
+      relay_[it->relay_gateway].push_back(std::move(*it));
+    }
+    batch.erase(relayed, batch.end());
+  }
+  recycle_all(batch);
+}
+
+void CommBus::recycle_all(std::vector<Message>& messages) {
+  if (messages.empty()) return;
   std::lock_guard<std::mutex> lock(pool_mutex_);
-  for (Message& message : batch) {
+  for (Message& message : messages) {
     message.recycle();
     pool_.push_back(std::move(message));
   }
-  batch.clear();
+  messages.clear();
 }
 
 void CommBus::reset() {
@@ -830,19 +786,6 @@ void CommBus::reset() {
   // synchronization above retires everything submitted so far) drops
   // its payload instead of delivering.
   epoch_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    // Drop any staged relay buckets the retiring run never flushed
-    // (e.g. a run aborted mid-superstep); their entry buffers return
-    // to the free list.
-    std::lock_guard<std::mutex> lock(relay_mutex_);
-    for (auto& entries : relay_) {
-      for (RelayEntry& e : entries) {
-        e.vertices.clear();
-        relay_entry_pool_.push_back(std::move(e));
-      }
-      entries.clear();
-    }
-  }
   for (int d = 0; d < machine_->num_devices(); ++d) {
     {
       std::lock_guard<std::mutex> lock(locks_[d]);
@@ -853,6 +796,11 @@ void CommBus::reset() {
     }
     release_drained(d);
   }
+  // Recycle whatever the retiring run left in the relay ledger (the
+  // staged messages released just above, and any superstep an aborted
+  // run never flushed).
+  std::lock_guard<std::mutex> lock(relay_mutex_);
+  for (auto& staged : relay_) recycle_all(staged);
 }
 
 }  // namespace mgg::core

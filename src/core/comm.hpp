@@ -136,6 +136,13 @@ struct Message {
   /// accounting. Associates are indexed by decoded position either
   /// way.
   WireFormat encoding = WireFormat::kRawIds;
+  /// Two-level relay bookkeeping stamped by CommBus::push: the gateway
+  /// of a staged cross-node push (-1: sent direct), its destination,
+  /// and whether it travelled encoded. Packed into `encoding`'s
+  /// padding, so sizeof(Message) does not grow.
+  bool relay_encoded = false;
+  std::int16_t relay_gateway = -1;
+  std::int16_t relay_dst = -1;
   util::PodVector<std::uint8_t> wire;
   std::size_t wire_items = 0;
 
@@ -203,6 +210,9 @@ struct Message {
     vertex_assoc.clear();
     value_assoc.clear();
     encoding = WireFormat::kRawIds;
+    relay_encoded = false;
+    relay_gateway = -1;
+    relay_dst = -1;
     wire.clear();
     wire_items = 0;
   }
@@ -315,8 +325,8 @@ class CommBus {
   /// that follows all senders' comm-stream synchronization. Returns a
   /// reference to a per-receiver batch that stays valid until the next
   /// drain(dst) / release_drained(dst); the previous batch (if any) is
-  /// recycled into the pool first — unless strict-drain mode is on, in
-  /// which case an unreleased batch is a hard error.
+  /// released first — unless strict-drain mode is on, in which case an
+  /// unreleased batch is a hard error.
   std::vector<Message>& drain(int dst);
 
   /// Pipeline-mode drain: take only the messages sender `src` has
@@ -336,13 +346,14 @@ class CommBus {
 
   /// Recycle `dst`'s last drained batch into the pool. Call after
   /// combining so the buffers are available to the next iteration's
-  /// senders.
+  /// senders. Staged cross-node messages (two-level relay) go to their
+  /// gateway's relay ledger instead; flush_relays() recycles them.
   void release_drained(int dst);
 
   /// Retire the previous run: synchronize every sender's comm stream
   /// (an in-flight push task must not deliver a stale message into the
   /// next run's inbox), advance the epoch, and recycle all undelivered
-  /// messages.
+  /// messages and every message left in the relay ledger.
   void reset();
 
   /// Messages currently resting in the pool (observability / tests).
@@ -350,13 +361,12 @@ class CommBus {
 
   /// Transient-transfer retry policy (consulted only when the machine
   /// has a FaultInjector; fault-free pushes never touch it). Each
-  /// retry charges `backoff_base_s * 2^attempt` modeled seconds of
-  /// backoff to the transfer; exhausting `max_retries` (or hitting a
-  /// permanent transfer fault) raises kUnavailable at the sender's
-  /// next comm-stream synchronize.
-  void set_retry_policy(int max_retries, double backoff_base_s) {
+  /// retry charges 50 µs · 2^attempt of modeled backoff to the
+  /// transfer; exhausting `max_retries` (or hitting a permanent
+  /// transfer fault) raises kUnavailable at the sender's next
+  /// comm-stream synchronize.
+  void set_retry_policy(int max_retries) {
     max_retries_.store(max_retries, std::memory_order_relaxed);
-    backoff_base_s_.store(backoff_base_s, std::memory_order_relaxed);
   }
 
   /// Transfer retries performed so far (feeds RunStats::comm_retries).
@@ -384,11 +394,12 @@ class CommBus {
   /// Call only between runs — after reset(), before any push. With an
   /// enabled policy, a cross-node push is *staged*: the sender pays the
   /// fast intra-node hop to its node's gateway for the destination
-  /// node (Interconnect::gateway) and the vertex IDs are recorded in
-  /// the gateway's relay ledger; the message itself is still delivered
-  /// to the destination inbox unchanged, so combining, results, and
-  /// every item-shaped counter are bit-identical to the flat path. The
-  /// deferred inter-node cost is realized by flush_relays().
+  /// node (Interconnect::gateway) and the message records that
+  /// gateway; the message itself is still delivered to the destination
+  /// inbox unchanged, so combining, results, and every item-shaped
+  /// counter are bit-identical to the flat path. Once combined, it
+  /// waits in the gateway's relay ledger, and flush_relays() realizes
+  /// the deferred inter-node cost from it.
   void set_two_level(TwoLevelPolicy policy);
   bool two_level_enabled() const noexcept {
     return two_level_enabled_.load(std::memory_order_relaxed);
@@ -407,15 +418,16 @@ class CommBus {
 
   /// Realize the gateways' modeled work for the staged cross-node
   /// pushes of the closing superstep: per (gateway, destination, tag),
-  /// merge the staged buckets (dedup per the policy), charge the merge
-  /// (and any decode of compressed staged payloads) as gateway
-  /// kernels, re-encode once against the destination node's universe,
-  /// and charge the single inter-node transfer (fault-injected and
-  /// retried like any push, items = 0 — the items were counted once on
-  /// the staged hop). Call exactly once per superstep, after every
-  /// sender's comm stream has synchronized (the superstep-close
-  /// barrier completion), from one thread. Throws like a push on a
-  /// permanent gateway-link fault or retry exhaustion.
+  /// merge the delivered messages in the ledger (dedup per the
+  /// policy), charge the merge (and the decode of payloads that
+  /// travelled compressed) as gateway kernels, re-encode once against
+  /// the destination node's universe, and charge the single inter-node
+  /// transfer (fault-injected and retried like any push, items = 0 —
+  /// the items were counted once on the staged hop); then recycle the
+  /// messages into the pool. Call exactly once per superstep, after
+  /// every receiver has released its drained batches (the
+  /// superstep-close barrier completion), from one thread. Throws like
+  /// a push on a permanent gateway-link fault or retry exhaustion.
   void flush_relays();
 
   /// Link-class split of all payload bytes ever pushed (monotone, like
@@ -443,8 +455,8 @@ class CommBus {
 
   /// Host worker pool used to parallelize wire decode across the
   /// messages of a drained batch (each message decodes independently;
-  /// the modeled decode charges are still issued sequentially in batch
-  /// order, so accounting is bit-identical to the sequential path).
+  /// the modeled decode charges are issued sequentially in batch order
+  /// first, so accounting is bit-identical to the sequential path).
   /// Null (the default) keeps every path sequential. Set by the
   /// enactor alongside the per-slice OpContext pools.
   void set_host_pool(util::ThreadPool* pool) noexcept { host_pool_ = pool; }
@@ -457,29 +469,18 @@ class CommBus {
   /// the receiver after drain()/drain_from().
   void decode_batch(int dst, std::vector<Message>& batch);
 
-  /// One sender's staged cross-node bucket awaiting its gateway's
-  /// flush: the decoded vertex IDs plus the layout needed to model the
-  /// merged payload's bytes.
-  struct RelayEntry {
-    int src = -1;
-    int dst = -1;
-    int tag = 0;
-    int vertex_slots = 0;
-    int value_slots = 0;
-    /// Decoded vertex IDs (a compressed staged payload is decoded at
-    /// staging time; the decode is charged to the gateway at flush).
-    util::PodVector<VertexT> vertices;
-    bool was_encoded = false;
-  };
-
   /// Fault consultation + bounded retry for one modeled transfer on
   /// link src->dst (no-op returning slowdown 1 without an injector).
   /// Accumulates modeled backoff into `backoff_s`; throws
   /// Error(kUnavailable) on a permanent fault or retry exhaustion.
   double consult_transfer_faults(int src, int dst, double& backoff_s);
 
-  /// Record one staged cross-node push in the gateway's ledger.
-  void stage_relay(int src, int dst, int gateway, const Message& msg);
+  /// Recycle every message into the pool, leaving `messages` empty.
+  void recycle_all(std::vector<Message>& messages);
+
+  /// Account one modeled transfer's bytes: interconnect traffic, the
+  /// link split, and the split by the wire format it travelled in.
+  void count_bytes(std::size_t bytes, WireFormat format, bool inter_node);
 
   vgpu::Machine* machine_;
   /// Run stamp; pushes submitted under an older epoch are dropped at
@@ -493,7 +494,6 @@ class CommBus {
   std::vector<Message> pool_;
   bool strict_drain_ = false;
   std::atomic<int> max_retries_{3};
-  std::atomic<double> backoff_base_s_{50e-6};
   std::atomic<std::uint64_t> comm_retries_{0};
   std::atomic<std::uint64_t> wire_bytes_raw_{0};
   std::atomic<std::uint64_t> wire_bytes_bitmap_{0};
@@ -508,17 +508,15 @@ class CommBus {
   /// is only read when it is set, and only set between runs.
   std::atomic<bool> two_level_enabled_{false};
   TwoLevelPolicy two_level_;
-  /// Per-gateway staged buckets for the current superstep, plus a
-  /// free list so steady-state staging reuses entry buffers. Guarded
-  /// by relay_mutex_ (staging runs on the senders' comm streams).
+  /// Per-gateway relay ledger for the current superstep: the staged
+  /// cross-node messages their receivers have combined and released.
+  /// Guarded by relay_mutex_ (release_drained runs on the receivers'
+  /// threads).
   std::mutex relay_mutex_;
-  std::vector<std::vector<RelayEntry>> relay_;
-  std::vector<RelayEntry> relay_entry_pool_;
+  std::vector<std::vector<Message>> relay_;
   /// Flush-only scratch (flush runs single-threaded in the
-  /// superstep-close barrier): the merged payload being modeled, and
-  /// the merge workspace.
+  /// superstep-close barrier): the merged payload being modeled.
   Message relay_scratch_;
-  util::PodVector<VertexT> merge_scratch_;
   util::ThreadPool* host_pool_ = nullptr;
 };
 

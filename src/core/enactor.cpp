@@ -160,7 +160,7 @@ vgpu::RunStats EnactorBase::enact() {
   // policy is only consulted under an injector, and the watchdog only
   // spawns when a deadline is configured.
   vgpu::FaultInjector* injector = problem_.machine().fault_injector();
-  bus_->set_retry_policy(cfg.max_comm_retries, cfg.comm_backoff_base_s);
+  bus_->set_retry_policy(cfg.max_comm_retries);
   if (pipeline_) handshakes_->set_fault_injector(injector);
   oom_regrows_.store(0, std::memory_order_relaxed);
   progress_.store(0, std::memory_order_relaxed);
@@ -514,7 +514,8 @@ void EnactorBase::run_core_with_recovery(Slice& s) {
       // anyway — that site consumed a fault event, so a transient
       // clears on its own, and a persistent capacity overflow simply
       // re-throws once the regrow budget is spent.
-      s.frontier.recover_output_oom(cfg.oom_headroom);
+      constexpr double kOomHeadroom = 1.5;  // regrow factor
+      s.frontier.recover_output_oom(kOomHeadroom);
       ++attempts;
       oom_regrows_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_ != nullptr) {

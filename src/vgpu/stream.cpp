@@ -81,7 +81,8 @@ void Stream::blocking_wait(Event event) {
     // blocked_wait_ keeps the retired event until the next wait task
     // overwrites it: constructing a fresh Event here would allocate a
     // new shared state on every wait, breaking the comm path's
-    // zero-steady-state-allocation property (gated by micro_comm).
+    // zero-steady-state-allocation property (pinned by
+    // CommBus.SteadyStateAllocatesNothing).
   }
 }
 

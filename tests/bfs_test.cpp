@@ -69,6 +69,14 @@ struct BfsParam {
   vgpu::AllocationScheme scheme;
 };
 
+// Names each case by its settings; without this gtest prints the raw
+// object bytes, which include the address of `partitioner`.
+void PrintTo(const BfsParam& p, std::ostream* os) {
+  *os << "gpus" << p.gpus << "/" << p.partitioner << "/"
+      << part::to_string(p.dup) << "/" << core::to_string(p.comm) << "/"
+      << vgpu::to_string(p.scheme);
+}
+
 class BfsSweep : public ::testing::TestWithParam<BfsParam> {};
 
 TEST_P(BfsSweep, MatchesCpu) {
