@@ -133,7 +133,6 @@ Outcome run_primitive(const std::string& primitive, const graph::Graph& g,
   outcome.gteps = outcome.stats.gteps(static_cast<double>(g.num_edges) *
                                       workload_scale);
   if (tracer != nullptr) {
-    machine.synchronize();
     tracer->write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", outcome.stats, {},
                               tracer.get());

@@ -209,7 +209,6 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    machine.synchronize();
     tracer.write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", stats, {},
                               &tracer);

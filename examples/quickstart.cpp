@@ -94,7 +94,6 @@ int main(int argc, char** argv) {
 
   // 6. Export the trace and the bottleneck-attribution report.
   if (!trace_path.empty()) {
-    machine.synchronize();
     tracer.write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", stats, {},
                               &tracer);

@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) machine.set_tracer(&tracer);
   const auto route = prim::run_sssp(g, origin, machine, config);
   if (!trace_path.empty()) {
-    machine.synchronize();
     tracer.write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", route.stats, {},
                               &tracer);

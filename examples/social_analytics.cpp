@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // One timeline for the whole pipeline: PageRank, CC, and every BC
     // source's supersteps appear back to back.
-    machine.synchronize();
     tracer.write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", bc.stats, {},
                               &tracer);

@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // All runs above share one machine, so the trace holds their
     // supersteps back to back on one timeline.
-    machine.synchronize();
     tracer.write_chrome_trace(trace_path);
     vgpu::save_run_stats_json(trace_path + ".stats.json", reach.stats, {},
                               &tracer);

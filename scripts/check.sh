@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the tier-1 verify from ROADMAP.md, then a
 # ThreadSanitizer build of the concurrency-sensitive suites (the comm
-# layer, the enactor's control threads, fault paths, and the stream
-# stress tests). Usage: scripts/check.sh [build-dir] [tsan-build-dir]
+# layer, the enactor's control threads, the handshake table and fault
+# paths), then an AddressSanitizer + UndefinedBehaviorSanitizer build
+# running every test.
+# Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
+ASAN_BUILD="${3:-build-asan}"
 
 echo "==> tier-1: configure + build + ctest"
 cmake -B "$BUILD" -S .
@@ -20,8 +23,7 @@ echo "==> operator-pipeline property suite (explicit)"
 echo "==> sync-mode differential suite + handshake stressors (explicit)"
 # Pins barrier-vs-pipeline results and W/H counters bit-identical and
 # hammers the handshake table's ordering/abort paths.
-"$BUILD/tests/mgg_tests" \
-  --gtest_filter='SyncPipeline.*:StreamStress.Handshake*'
+"$BUILD/tests/mgg_tests" --gtest_filter='SyncPipeline.*'
 
 echo "==> micro_operators acceptance gate (writes BENCH_operators.json)"
 "$BUILD/bench/micro_operators" --json="$BUILD/BENCH_operators.json"
@@ -125,20 +127,22 @@ cmake -B "$TSAN_BUILD" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_BUILD" -j --target mgg_tests
 
-echo "==> tsan: core / fault / stream-stress suites"
-# The suites defined in core_test.cpp, operator_pipeline_test.cpp,
-# fault_test.cpp and stream_stress_test.cpp — the code paths where
-# threads actually race (dedup bitmaps and route scratch are touched
-# from the enactor's per-GPU threads).
+echo "==> tsan: core / comm / fault / pipeline suites"
+# The suites defined in core_test.cpp, comm_bus_test.cpp,
+# operator_pipeline_test.cpp, fault_test.cpp and sync_pipeline_test.cpp
+# — the code paths where threads actually race (senders push into
+# shared inboxes and the pool, dedup bitmaps and route scratch are
+# touched from the enactor's per-GPU threads, and the handshake table
+# orders pipeline deliveries).
 TSAN_FILTER='Message.*:CommBus.*:Frontier.*:Operators.*:Problem.*'
-TSAN_FILTER+=':Enactor.*:Oom.*:FaultInjection.*:StreamStress.*'
+TSAN_FILTER+=':Enactor.*:Oom.*:FaultInjection.*'
 TSAN_FILTER+=':OperatorPipeline.*:SyncPipeline.*'
 # Fault-recovery paths cross threads by design: injector atomics,
 # the comm retry loop, the watchdog thread and the regrow replay.
 TSAN_FILTER+=':FaultRecovery.*:ChaosTsan.*'
 # Tracer observation paths + the Device scale-knob race regression
-# (tracer buffers are written from stream workers and drained from the
-# barrier-completion thread).
+# (tracer buffers are written from the enactor's per-GPU threads and
+# pool workers and drained from the barrier-completion thread).
 TSAN_FILTER+=':CostModel.*:Trace.*'
 # Wire codecs run on the sender/receiver threads (encode at package
 # time, decode inside drain) and bump the CommBus wire-stats atomics.
@@ -161,5 +165,21 @@ TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
 # link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
+
+echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined"
+cmake -B "$ASAN_BUILD" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$ASAN_BUILD" -j --target mgg_tests
+
+echo "==> asan+ubsan: every suite"
+# Message lifetimes across push -> inbox -> drain -> relay ledger ->
+# pool, pooled buffers, the wire codecs and the graph readers. Any UB
+# report aborts the run; _GLIBCXX_ASSERTIONS adds libstdc++'s bounds
+# checks on top. allocator_may_return_null: MemoryManager's
+# HostAllocationFailureRollsBackAccounting requests a 2^60-byte host
+# block on purpose, which ASan otherwise aborts on.
+ASAN_OPTIONS=allocator_may_return_null=1 "$ASAN_BUILD/tests/mgg_tests"
 
 echo "==> check.sh: all green"

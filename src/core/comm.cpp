@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <type_traits>
 
 #include "util/error.hpp"
 #include "vgpu/fault.hpp"
@@ -429,80 +428,61 @@ void CommBus::push(int src, int dst, Message message) {
   }
   message.src_gpu = src;
 
-  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  vgpu::Device& sender = machine_->device(src);
-  // Submit-time stamp of the sender's compute timeline: the modeled
-  // transfer cannot start before the kernel that packaged its payload
-  // finished, no matter when the comm-stream worker gets to the task.
-  const double ready_s = sender.modeled_compute_time();
-  auto task = [this, src, dst, epoch, ready_s,
-               msg = std::move(message)]() mutable {
-    if (epoch != epoch_.load(std::memory_order_acquire)) {
-      // The run this push belongs to was reset while the task sat
-      // on the comm stream; drop the stale payload.
-      release(std::move(msg));
-      return;
+  // The modeled transfer cannot start before the kernel that packaged
+  // its payload finished: its data dependency is the sender's
+  // compute-timeline position now.
+  const double ready_s = machine_->device(src).modeled_compute_time();
+  const bool cross_node = !machine_->interconnect().same_node(src, dst);
+  // Two-level combine: a cross-node push is staged — the sender pays
+  // the fast hop to its node's gateway for dst's node (and that hop is
+  // the fault-injection surface), and the message is still delivered
+  // to dst unchanged (the correctness path). It remembers its gateway
+  // so that, once combined, it joins that gateway's relay ledger,
+  // where flush_relays() realizes the modeled inter-node cost.
+  const bool staged = cross_node && two_level_enabled();
+  const int hop_dst = staged ? elect_gateway(src, dst) : dst;
+  message.relay_gateway = static_cast<std::int16_t>(staged ? hop_dst : -1);
+  message.relay_dst = static_cast<std::int16_t>(dst);
+  message.relay_encoded = message.encoding != WireFormat::kRawIds;
+  double slowdown = 1.0;
+  double backoff_s = 0.0;
+  if (src != hop_dst) {
+    try {
+      slowdown = consult_transfer_faults(src, hop_dst, backoff_s);
+    } catch (...) {
+      release(std::move(message));
+      throw;
     }
-    const bool cross_node = !machine_->interconnect().same_node(src, dst);
-    // Two-level combine: a cross-node push is staged — the sender
-    // pays the fast hop to its node's gateway for dst's node (and
-    // that hop is the fault-injection surface), and the message is
-    // still delivered to dst unchanged (the correctness path). It
-    // remembers its gateway so that, once combined, it joins that
-    // gateway's relay ledger, where flush_relays() realizes the
-    // modeled inter-node cost.
-    const bool staged = cross_node && two_level_enabled();
-    const int hop_dst = staged ? elect_gateway(src, dst) : dst;
-    msg.relay_gateway = static_cast<std::int16_t>(staged ? hop_dst : -1);
-    msg.relay_dst = static_cast<std::int16_t>(dst);
-    msg.relay_encoded = msg.encoding != WireFormat::kRawIds;
-    double slowdown = 1.0;
-    double backoff_s = 0.0;
-    if (src != hop_dst) {
-      try {
-        slowdown = consult_transfer_faults(src, hop_dst, backoff_s);
-      } catch (...) {
-        release(std::move(msg));
-        throw;
-      }
-    }
-    const std::size_t items = msg.size();
-    // A sender that is itself the gateway stages in place: no link
-    // is crossed, so no bytes move — but the items are charged
-    // here (and only here) so H item counts match the flat path
-    // exactly, with the merged hop carrying items = 0.
-    const std::size_t bytes =
-        staged && src == hop_dst ? 0 : msg.payload_bytes();
-    const double seconds =
-        machine_->interconnect().transfer_seconds(src, hop_dst, bytes) *
-            slowdown +
-        backoff_s;
-    const char* span = staged ? "push_relay"
-                       : cross_node ? "push_inter_node"
-                                    : "push";
-    machine_->device(src).add_comm_cost(seconds, bytes, items, ready_s,
-                                        span, hop_dst);
-    // The staged hop is intra-node by construction, so with
-    // two-level on the inter-node share comes solely from the
-    // gateways' merged pushes (and direct cross-node pushes when
-    // off).
-    count_bytes(bytes, msg.encoding, cross_node && !staged);
-    // Counted per *pushed* message, not per wire::encode call: a
-    // broadcast proto is encoded once but cloned to every peer,
-    // and each clone is decoded on its receiver — counting here
-    // keeps encoded_vertices == decoded_vertices exact.
-    if (msg.encoding != WireFormat::kRawIds) {
-      wire_encoded_.fetch_add(items, std::memory_order_relaxed);
-    }
-    std::lock_guard<std::mutex> lock(locks_[dst]);
-    inboxes_[dst].push_back(std::move(msg));
-  };
-  // The closure must stay within vgpu::Task's inline storage: a larger
-  // one is boxed, and every push would heap-allocate.
-  static_assert(sizeof(task) <= vgpu::Task::kInlineBytes &&
-                    std::is_nothrow_move_constructible_v<decltype(task)>,
-                "push closure no longer fits vgpu::Task inline storage");
-  sender.comm_stream().submit(std::move(task));
+  }
+  const std::size_t items = message.size();
+  // A sender that is itself the gateway stages in place: no link is
+  // crossed, so no bytes move — but the items are charged here (and
+  // only here) so H item counts match the flat path exactly, with the
+  // merged hop carrying items = 0.
+  const std::size_t bytes =
+      staged && src == hop_dst ? 0 : message.payload_bytes();
+  const double seconds =
+      machine_->interconnect().transfer_seconds(src, hop_dst, bytes) *
+          slowdown +
+      backoff_s;
+  const char* span = staged       ? "push_relay"
+                     : cross_node ? "push_inter_node"
+                                  : "push";
+  machine_->device(src).add_comm_cost(seconds, bytes, items, ready_s, span,
+                                      hop_dst);
+  // The staged hop is intra-node by construction, so with two-level on
+  // the inter-node share comes solely from the gateways' merged pushes
+  // (and direct cross-node pushes when off).
+  count_bytes(bytes, message.encoding, cross_node && !staged);
+  // Counted per *pushed* message, not per wire::encode call: a
+  // broadcast proto is encoded once but cloned to every peer, and each
+  // clone is decoded on its receiver — counting here keeps
+  // encoded_vertices == decoded_vertices exact.
+  if (message.encoding != WireFormat::kRawIds) {
+    wire_encoded_.fetch_add(items, std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(locks_[dst]);
+  inboxes_[dst].push_back(std::move(message));
 }
 
 void CommBus::count_bytes(std::size_t bytes, WireFormat format,
@@ -664,7 +644,7 @@ std::vector<Message>& CommBus::drain(int dst) {
     // capacity across iterations.
     drained_[dst].swap(inboxes_[dst]);
   }
-  // Inbox arrival order depends on comm-stream scheduling; sort by
+  // Inbox arrival order depends on sender thread timing; sort by
   // (sender, tag) — unique per iteration — so the combine order, and
   // with it every downstream quantity (H included, for primitives
   // whose sends depend on combine order, e.g. SSSP), is reproducible
@@ -776,16 +756,6 @@ void CommBus::recycle_all(std::vector<Message>& messages) {
 }
 
 void CommBus::reset() {
-  // Synchronize every sender first: a push task still queued on a comm
-  // stream would otherwise execute after the clear below and deliver a
-  // previous run's message into the next run's inbox.
-  for (int d = 0; d < machine_->num_devices(); ++d) {
-    machine_->device(d).comm_stream().synchronize();
-  }
-  // Advance the epoch so any remaining straggler (defensive; the
-  // synchronization above retires everything submitted so far) drops
-  // its payload instead of delivering.
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   for (int d = 0; d < machine_->num_devices(); ++d) {
     {
       std::lock_guard<std::mutex> lock(locks_[d]);

@@ -18,11 +18,13 @@
 // returns it to the pool — so steady-state iterations move frontiers
 // with zero message-related heap allocations.
 //
-// Pushes are issued on the *sender's* communication stream so they
-// overlap the remainder of the sender's compute work; the modeled
-// transfer cost (latency + bytes/bandwidth, from the Interconnect) is
-// charged to the sender's iteration counters. The receiver drains its
-// inbox after the BSP barrier.
+// A push runs on the sender's own thread and has landed in the
+// receiver's inbox by the time it returns. The modeled transfer cost
+// (latency + bytes/bandwidth, from the Interconnect) is charged to the
+// sender's comm timeline, placed after the kernel that packaged the
+// payload, so it overlaps the remainder of the sender's compute work
+// as the paper's comm stream does (§III-B). The receiver drains its
+// inbox after the BSP barrier or the sender's pipeline handshake.
 #pragma once
 
 #include <atomic>
@@ -51,18 +53,17 @@ std::string to_string(CommStrategy s);
 /// composes — never what is computed or sent: W and H counters are
 /// bit-identical across modes.
 enum class SyncMode {
-  /// Strict BSP: all compute, then all package+push, comm-stream
-  /// sync, barrier A (messages visible), combine, barrier B
-  /// (convergence). Modeled superstep time is the serial
-  /// max(compute) + max(comm) + l(n).
+  /// Strict BSP: all compute, then all package+push, barrier A
+  /// (messages visible), combine, barrier B (convergence). Modeled
+  /// superstep time is the serial max(compute) + max(comm) + l(n).
   kBspBarrier,
   /// Event-driven pipeline: per-peer chunked package+push with a
-  /// per-(sender, receiver) comm-stream Event handshake replacing
-  /// barrier A; a receiver combines each sender's messages as soon as
-  /// that sender's event fires (in sender order, preserving the
-  /// deterministic (src_gpu, tag) combine order). Only the
+  /// per-(sender, receiver) handshake replacing barrier A; a receiver
+  /// combines each sender's messages as soon as that sender has
+  /// signaled it is done pushing to it (in sender order, preserving
+  /// the deterministic (src_gpu, tag) combine order). Only the
   /// convergence barrier B remains; modeled superstep time is the
-  /// critical path of the overlapped compute/comm stream timelines.
+  /// critical path of the overlapped compute/comm timelines.
   kEventPipeline,
 };
 
@@ -312,17 +313,17 @@ class CommBus {
   /// Return a message's buffers to the pool. Safe from any thread.
   void release(Message&& message);
 
-  /// Push a message from GPU `src` to GPU `dst`. Enqueued on src's
-  /// comm stream; models the transfer cost, records H counters, and
-  /// deposits into dst's inbox. Empty messages are recycled, not sent.
-  /// The sender must synchronize its comm stream before the BSP
-  /// barrier. The message is stamped with the bus's current epoch: if
-  /// reset() retires the run before the push task executes, the
-  /// payload is dropped into the pool instead of delivered.
+  /// Push a message from GPU `src` to GPU `dst` on the calling
+  /// thread: consults the fault injector (retrying transient faults),
+  /// models the transfer cost on src's comm timeline, records H
+  /// counters, and deposits into dst's inbox before returning. Empty
+  /// messages are recycled, not sent. A permanent transfer fault or
+  /// exhausted retries recycle the message and throw
+  /// Error(kUnavailable).
   void push(int src, int dst, Message message);
 
   /// Take all messages addressed to `dst`. Call only after the barrier
-  /// that follows all senders' comm-stream synchronization. Returns a
+  /// that follows all senders' pushes. Returns a
   /// reference to a per-receiver batch that stays valid until the next
   /// drain(dst) / release_drained(dst); the previous batch (if any) is
   /// released first — unless strict-drain mode is on, in which case an
@@ -331,8 +332,8 @@ class CommBus {
 
   /// Pipeline-mode drain: take only the messages sender `src` has
   /// deposited for `dst` so far, sorted by tag. The caller must have
-  /// waited on the (src -> dst) handshake event first, so "so far" is
-  /// exactly this superstep's messages from that sender. Unlike
+  /// taken the (src -> dst) handshake first, so "so far" is exactly
+  /// this superstep's messages from that sender. Unlike
   /// drain(), the previous drained batch must already have been
   /// recycled via release_drained(dst): combining may still hold
   /// pointers into it, so silently clobbering it is a framework bug
@@ -350,10 +351,10 @@ class CommBus {
   /// gateway's relay ledger instead; flush_relays() recycles them.
   void release_drained(int dst);
 
-  /// Retire the previous run: synchronize every sender's comm stream
-  /// (an in-flight push task must not deliver a stale message into the
-  /// next run's inbox), advance the epoch, and recycle all undelivered
-  /// messages and every message left in the relay ledger.
+  /// Retire the previous run: recycle every undrained message and
+  /// every message left in the relay ledger. A push has landed by the
+  /// time it returns, so nothing of a finished run is still in flight;
+  /// a push racing reset() lands on one side of it or the other.
   void reset();
 
   /// Messages currently resting in the pool (observability / tests).
@@ -363,8 +364,7 @@ class CommBus {
   /// has a FaultInjector; fault-free pushes never touch it). Each
   /// retry charges 50 µs · 2^attempt of modeled backoff to the
   /// transfer; exhausting `max_retries` (or hitting a permanent
-  /// transfer fault) raises kUnavailable at the sender's next
-  /// comm-stream synchronize.
+  /// transfer fault) makes push() throw kUnavailable.
   void set_retry_policy(int max_retries) {
     max_retries_.store(max_retries, std::memory_order_relaxed);
   }
@@ -483,10 +483,6 @@ class CommBus {
   void count_bytes(std::size_t bytes, WireFormat format, bool inter_node);
 
   vgpu::Machine* machine_;
-  /// Run stamp; pushes submitted under an older epoch are dropped at
-  /// delivery time (second line of defense behind reset()'s stream
-  /// synchronization).
-  std::atomic<std::uint64_t> epoch_{0};
   std::vector<std::mutex> locks_;               // per receiver
   std::vector<std::vector<Message>> inboxes_;   // per receiver
   std::vector<std::vector<Message>> drained_;   // per receiver scratch

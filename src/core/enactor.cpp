@@ -341,11 +341,11 @@ void EnactorBase::record_error(int slot) {
     if (errors_[slot] == nullptr) errors_[slot] = std::current_exception();
   }
   error_flag_.store(true, std::memory_order_release);
-  // Pipeline mode: receivers block on per-sender events, not on a
+  // Pipeline mode: receivers block on per-sender handshakes, not on a
   // barrier, so a worker that dies before publishing would strand
-  // them. Aborting the table hands every present and future take() a
-  // pre-fired event; everyone then drains to the convergence barrier
-  // under the shared error flag, exactly like the barrier schedule.
+  // them. Aborting the table returns every present and future take();
+  // everyone then drains to the convergence barrier under the shared
+  // error flag, exactly like the barrier schedule.
   if (pipeline_) handshakes_->abort();
 }
 
@@ -356,21 +356,12 @@ void EnactorBase::run_loop(int gpu) {
   }
   Slice& s = slice(gpu);
   for (;;) {
-    // --- compute + communicate (overlapped via the comm stream) ---
+    // --- compute + communicate (overlap modeled on the timelines) ---
     try {
       if (!has_error()) {
         run_core_with_recovery(s);
         communicate(s);
       }
-    } catch (...) {
-      record_error(gpu);
-    }
-    // Synchronize outside the hook try-block so it runs even when a
-    // hook threw mid-push: every push this thread queued is delivered
-    // (or retired) before barrier A, so no message can race a peer's
-    // combine step or linger into the next run.
-    try {
-      s.device->comm_stream().synchronize();
     } catch (...) {
       record_error(gpu);
     }
@@ -405,9 +396,9 @@ void EnactorBase::run_loop_pipeline(int gpu) {
   for (;;) {
     // --- compute + per-peer chunked package/push ---
     // communicate() pushes each peer's message as soon as its bucket
-    // is packaged and (on the framework paths) records the handshake
-    // event right behind it, so early peers' transfers and combines
-    // overlap the packaging of later peers.
+    // is packaged and (on the framework paths) publishes the handshake
+    // right behind it, so early peers' transfers and combines overlap
+    // the packaging of later peers.
     try {
       if (!has_error()) {
         run_core_with_recovery(s);
@@ -417,7 +408,8 @@ void EnactorBase::run_loop_pipeline(int gpu) {
       record_error(gpu);
     }
     // Complete this sender's handshake row even when the hooks threw
-    // or were skipped: receivers block on these events, not a barrier.
+    // or were skipped: receivers block on these handshakes, not a
+    // barrier.
     try {
       publish_handshakes(s);
     } catch (...) {
@@ -426,26 +418,23 @@ void EnactorBase::run_loop_pipeline(int gpu) {
 
     // --- combine, sender by sender in ascending src order ---
     // Each sender's messages are consumed as soon as that sender's
-    // event fires; processing senders in src order (with drain_from's
-    // per-sender tag sort) reproduces the barrier schedule's
-    // deterministic (src_gpu, tag) combine order bit for bit.
+    // handshake is taken; processing senders in src order (with
+    // drain_from's per-sender tag sort) reproduces the barrier
+    // schedule's deterministic (src_gpu, tag) combine order bit for bit.
     for (int src = 0; src < n_; ++src) {
       if (src == s.gpu) continue;
       try {
         // Trace the wait as a zero-width marker at the current modeled
         // compute position (the model prices waits via the superstep
-        // critical path, not per event); wall_s captures the host-side
-        // stall for diagnosis.
+        // critical path, not per handshake); wall_s captures the
+        // host-side stall for diagnosis.
         const bool traced = tracer_ != nullptr;
         const double wait_pos =
             traced ? s.device->modeled_compute_time() : 0.0;
         util::WallTimer wait_timer;
-        vgpu::Event ready = handshakes_->take(src, s.gpu, s.superstep);
-        // cudaStreamWaitEvent analog: queue the wait on our compute
-        // stream, then join it from the host — the combine below is
-        // ordered behind the sender's last push to us.
-        s.device->compute_stream().wait_event(std::move(ready));
-        s.device->compute_stream().synchronize();
+        // Every push the sender made to us this superstep has landed
+        // once this returns (cudaStreamWaitEvent analog).
+        handshakes_->take(src, s.gpu, s.superstep);
         if (traced) {
           vgpu::TraceSpan span;
           span.name = "handshake_wait";
@@ -476,15 +465,6 @@ void EnactorBase::run_loop_pipeline(int gpu) {
       }
     }
 
-    // Retire our own pushes before the superstep closes: the harvest
-    // in close_iteration must see every transfer this superstep
-    // charged, and any exception a push task raised must surface now
-    // (the barrier schedule gets both from its pre-barrier-A sync).
-    try {
-      s.device->comm_stream().synchronize();
-    } catch (...) {
-      record_error(gpu);
-    }
     ++s.superstep;
     barrier_->arrive_and_wait();  // convergence barrier (B): closes step
 
@@ -573,33 +553,17 @@ void EnactorBase::watchdog_loop(double deadline_s) {
   }
 }
 
-void EnactorBase::mark_peer_pushed(Slice& s, int peer) {
+void EnactorBase::mark_peer_done(Slice& s, int peer) {
   if (!pipeline_ || peer == s.gpu) return;
   MGG_ASSERT(!s.peer_signaled[peer],
-             "mark_peer_pushed called twice for one peer in a superstep");
-  handshakes_->publish(s.gpu, peer, s.superstep,
-                       s.device->comm_stream().record_event());
-  s.peer_signaled[peer] = 1;
-}
-
-void EnactorBase::mark_peer_idle(Slice& s, int peer) {
-  if (!pipeline_ || peer == s.gpu) return;
-  MGG_ASSERT(!s.peer_signaled[peer],
-             "mark_peer_idle called after this peer was already signaled");
-  // Nothing travels to `peer` this superstep, so its handshake must
-  // not wait behind our pushes to *other* peers on the in-order comm
-  // stream: publish an already-fired event instead of recording one.
-  vgpu::Event none;
-  none.fire();
-  handshakes_->publish(s.gpu, peer, s.superstep, std::move(none));
+             "mark_peer_done called twice for one peer in a superstep");
+  handshakes_->publish(s.gpu, peer, s.superstep);
   s.peer_signaled[peer] = 1;
 }
 
 void EnactorBase::publish_handshakes(Slice& s) {
   for (int peer = 0; peer < n_; ++peer) {
-    if (peer == s.gpu || s.peer_signaled[peer]) continue;
-    handshakes_->publish(s.gpu, peer, s.superstep,
-                         s.device->comm_stream().record_event());
+    if (!s.peer_signaled[peer]) mark_peer_done(s, peer);
   }
   std::fill(s.peer_signaled.begin(), s.peer_signaled.end(), 0);
 }
@@ -651,8 +615,8 @@ void EnactorBase::close_iteration_body() {
   // Realize the gateways' staged inter-node pushes *before* harvesting:
   // the merge/encode kernels and the merged transfers belong to the
   // closing superstep's counters. Safe here: this runs exclusively in
-  // the barrier completion, after every sender synchronized its comm
-  // stream in both schedules. May throw (the gateway hop is a
+  // the barrier completion, after every sender's pushes returned in
+  // both schedules. May throw (the gateway hop is a
   // fault-injection surface); close_iteration() converts that into the
   // regular error stop.
   if (two_level_active_) bus_->flush_relays();
@@ -706,8 +670,8 @@ void EnactorBase::close_iteration_body() {
   run_stats_.modeled_overhead_s += overhead;
   if (tracer_ != nullptr) {
     // Safe here: this runs exclusively in the barrier completion, after
-    // every worker synchronized its comm stream — all of this
-    // superstep's spans are recorded, none of the next one's.
+    // every worker's pushes returned — all of this superstep's spans
+    // are recorded, none of the next one's.
     tracer_->close_superstep(iteration_, harvest_, overhead, hidden,
                              pipeline_);
   }
@@ -947,12 +911,10 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
         Message message = bus_->acquire();
         message.assign_from(proto);
         bus_->push(s.gpu, peer, std::move(message));
-        mark_peer_pushed(s, peer);
+        mark_peer_done(s, peer);
       }
     } else {
-      for (int peer = 0; peer < n_; ++peer) {
-        if (peer != s.gpu) mark_peer_idle(s, peer);
-      }
+      for (int peer = 0; peer < n_; ++peer) mark_peer_done(s, peer);
     }
     frontier.split_output([&](VertexT v) { return sub.is_hosted(v); },
                           [](VertexT) {});
@@ -966,7 +928,7 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
       if (peer == s.gpu) continue;
       const std::span<const VertexT> sources = peer_bucket(s, peer);
       if (sources.empty()) {
-        mark_peer_idle(s, peer);
+        mark_peer_done(s, peer);
         continue;
       }
       if (pipeline_) {
@@ -994,7 +956,7 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
           s, message,
           static_cast<std::size_t>(problem_.sub(peer).num_total()));
       bus_->push(s.gpu, peer, std::move(message));
-      mark_peer_pushed(s, peer);
+      mark_peer_done(s, peer);
     }
   }
 

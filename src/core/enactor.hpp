@@ -11,13 +11,14 @@
 //     push -> barrier -> combine -> barrier -> convergence check — or
 //     the event-driven pipeline, where each peer's message is pushed
 //     as soon as its bucket is packaged, barrier A is replaced by
-//     per-(sender, receiver) comm-stream events (docs/architecture.md
-//     §8), and only the convergence barrier remains;
+//     per-(sender, receiver) handshakes (docs/architecture.md §8), and
+//     only the convergence barrier remains;
 //   - the framework-owned communication steps: splitting the output
 //     frontier into local and remote sub-frontiers, packaging the
-//     primitive's associated data, pushing on the communication
-//     stream, and merging received sub-frontiers with the
-//     primitive-supplied combine operation (ExpandIncoming);
+//     primitive's associated data, pushing to the peers (the transfer
+//     is modeled on the sender's comm timeline), and merging received
+//     sub-frontiers with the primitive-supplied combine operation
+//     (ExpandIncoming);
 //   - convergence detection (all frontiers empty on every GPU, plus an
 //     optional primitive-specific stop condition);
 //   - BSP cost accounting: per iteration, modeled time advances by
@@ -86,8 +87,8 @@ class EnactorBase {
     Message broadcast_proto;
     /// Pipeline mode: this worker's superstep counter (advances in
     /// lockstep across workers through the convergence barrier) and
-    /// which peers already had their handshake event recorded this
-    /// superstep (via mark_peer_pushed).
+    /// which peers already had their handshake published this
+    /// superstep (via mark_peer_done).
     std::uint64_t superstep = 0;
     util::PodVector<std::uint8_t> peer_signaled;
   };
@@ -279,25 +280,17 @@ class EnactorBase {
   }
 
   /// Pipeline mode: declare that this slice will push nothing more to
-  /// `peer` this superstep, and record the (gpu -> peer) handshake
-  /// event on the comm stream right now — so the receiver can start
-  /// combining this sender's messages while the remaining peers are
-  /// still being packaged. No-op under the barrier schedule. Calling
-  /// this and then pushing to the same peer again in the same
-  /// superstep is a protocol violation (the receiver may drain before
-  /// the late message lands). Peers not marked by the end of
-  /// communicate() are signaled automatically afterwards, so
-  /// primitives that push several tagged messages per peer (BC) can
-  /// simply never call this.
-  void mark_peer_pushed(Slice& s, int peer);
-
-  /// Pipeline mode: declare that this slice sends nothing at all to
-  /// `peer` this superstep. Publishes a pre-fired event, so the
-  /// receiver proceeds immediately instead of waiting behind this
-  /// sender's pushes to *other* peers on the in-order comm stream.
-  /// Same single-signal-per-peer-per-superstep contract as
-  /// mark_peer_pushed. No-op under the barrier schedule.
-  void mark_peer_idle(Slice& s, int peer);
+  /// `peer` this superstep (it pushed its message, or has nothing to
+  /// send), and publish the (gpu -> peer) handshake right now — so
+  /// the receiver can start combining this sender's messages while the
+  /// remaining peers are still being packaged. No-op under the barrier
+  /// schedule. At most once per peer per superstep; calling this and
+  /// then pushing to the same peer again in the same superstep is a
+  /// protocol violation (the receiver may drain before the late
+  /// message lands). Peers not marked by the end of communicate() are
+  /// signaled automatically afterwards, so primitives that push
+  /// several tagged messages per peer (BC) can simply never call this.
+  void mark_peer_done(Slice& s, int peer);
 
   /// Whether this enactor runs the event-driven pipeline schedule.
   bool pipeline_mode() const noexcept { return pipeline_; }
@@ -341,10 +334,9 @@ class EnactorBase {
   /// Watchdog body: aborts the run with Status::kTimedOut when no
   /// superstep closes within `deadline_s` of wall clock.
   void watchdog_loop(double deadline_s);
-  /// Record + publish handshake events for every peer not already
-  /// signaled via mark_peer_pushed, then clear the marks. Runs even on
-  /// the error path: receivers block on these events, not on a
-  /// barrier.
+  /// Publish the handshake for every peer not already signaled via
+  /// mark_peer_done, then clear the marks. Runs even on the error
+  /// path: receivers block on these handshakes, not on a barrier.
   void publish_handshakes(Slice& s);
   void close_iteration();       // barrier completion, runs exclusively
   void close_iteration_body();  // the fallible part of the above

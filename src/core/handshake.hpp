@@ -1,30 +1,30 @@
 // Point-to-point superstep handshakes for the event-driven pipeline
 // (Config::sync_mode == SyncMode::kEventPipeline).
 //
-// One slot per (sender, receiver) pair holds the vgpu::Event the
-// sender recorded on its comm stream after its last push to that
-// receiver in the current superstep (cudaEventRecord on the transfer
-// stream, in real-GPU terms). The receiver takes the event for its
-// current superstep — blocking until the sender has published it —
-// and then waits for it to fire via Stream::wait_event on its own
-// compute stream (cudaStreamWaitEvent), at which point exactly that
-// sender's messages for this superstep are in its inbox.
+// One slot per (sender, receiver) pair. The sender publishes its
+// superstep into the slot once it has pushed everything it will send
+// that receiver this superstep; a push has landed in the receiver's
+// inbox by the time it returns, so the publish alone tells the
+// receiver that exactly that sender's messages for this superstep are
+// in its inbox. The receiver takes the slot for its current superstep,
+// blocking until the sender has published it. The slot mutex orders
+// the sender's deliveries before the receiver's drain.
 //
 // The publish/take rendezvous replaces the BSP barrier A: a receiver
 // synchronizes with each sender individually, so it can combine an
 // early sender's messages while slow peers are still computing. The
 // superstep counter makes the pairing explicit and self-checking: a
-// slot never holds more than one event, because sender and receiver
-// advance supersteps in lockstep through the remaining convergence
-// barrier (the sender's superstep-k+1 publish happens after barrier B
-// of superstep k, which the receiver only reached after taking the
-// superstep-k event).
+// slot is never armed twice, because sender and receiver advance
+// supersteps in lockstep through the remaining convergence barrier
+// (the sender's superstep-k+1 publish happens after barrier B of
+// superstep k, which the receiver only reached after taking the
+// superstep-k slot).
 //
 // Error stop: if a worker dies before publishing, every blocked (and
 // future) take must still return, or the surviving receivers deadlock
 // where the barrier schedule would have drained them through the
-// barriers. abort() flips a flag that makes take() hand back pre-fired
-// events; the enactor calls it from its error-recording path.
+// barriers. abort() flips a flag that makes take() return at once; the
+// enactor calls it from its error-recording path.
 #pragma once
 
 #include <atomic>
@@ -32,11 +32,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
 
 #include "util/error.hpp"
 #include "vgpu/fault.hpp"
-#include "vgpu/stream.hpp"
 
 namespace mgg::core {
 
@@ -55,7 +53,7 @@ class HandshakeTable {
     fault_injector_.store(injector, std::memory_order_release);
   }
 
-  /// New run: drop any leftover events (an aborted run may leave
+  /// New run: disarm any leftover slots (an aborted run may leave
   /// published-but-untaken slots) and clear the abort flag.
   void reset() {
     aborted_.store(false, std::memory_order_release);
@@ -64,18 +62,17 @@ class HandshakeTable {
          ++i) {
       std::lock_guard<std::mutex> lock(slots_[i].mutex);
       slots_[i].armed = false;
-      slots_[i].event = vgpu::Event{};
       slots_[i].superstep = 0;
     }
   }
 
-  /// Sender side: hand superstep `superstep`'s (src -> dst) event to
-  /// the receiver. The previous event must have been taken (the
-  /// lockstep argument above); publishing over an untaken event is a
-  /// protocol bug — except after abort(), where takers returned dummy
-  /// events and stragglers may still publish into dead slots.
-  void publish(int src, int dst, std::uint64_t superstep,
-               vgpu::Event event) {
+  /// Sender side: tell the receiver that superstep `superstep`'s
+  /// (src -> dst) pushes have all landed. The previous superstep's
+  /// slot must have been taken (the lockstep argument above);
+  /// publishing over an untaken slot is a protocol bug — except after
+  /// abort(), where takers returned early and stragglers may still
+  /// publish into dead slots.
+  void publish(int src, int dst, std::uint64_t superstep) {
     if (vgpu::FaultInjector* injector =
             fault_injector_.load(std::memory_order_acquire)) {
       if (injector->drop_handshake(src, dst)) {
@@ -89,36 +86,28 @@ class HandshakeTable {
       std::lock_guard<std::mutex> lock(s.mutex);
       if (aborted_.load(std::memory_order_acquire)) return;
       MGG_ASSERT(!s.armed,
-                 "handshake published over an untaken event (sender ran "
+                 "handshake published over an untaken slot (sender ran "
                  "two supersteps ahead of its receiver)");
-      s.event = std::move(event);
       s.superstep = superstep;
       s.armed = true;
     }
     s.cv.notify_all();
   }
 
-  /// Receiver side: block until the (src -> dst) event for `superstep`
-  /// is published, then consume it. On an aborted run, returns a
-  /// pre-fired event so the caller's stream wait cannot hang.
-  vgpu::Event take(int src, int dst, std::uint64_t superstep) {
+  /// Receiver side: block until the (src -> dst) slot for `superstep`
+  /// is published, then consume it. Returns at once on an aborted run.
+  void take(int src, int dst, std::uint64_t superstep) {
     Slot& s = slot(src, dst);
     std::unique_lock<std::mutex> lock(s.mutex);
     s.cv.wait(lock, [&] {
       return (s.armed && s.superstep == superstep) ||
              aborted_.load(std::memory_order_acquire);
     });
-    if (!s.armed || s.superstep != superstep) {
-      vgpu::Event fired;
-      fired.fire();
-      return fired;
-    }
-    s.armed = false;
-    return std::move(s.event);
+    if (s.armed && s.superstep == superstep) s.armed = false;
   }
 
-  /// Wake every blocked take() — present and future — with pre-fired
-  /// events. Called when the run stops with an error.
+  /// Wake every blocked take() — present and future. Called when the
+  /// run stops with an error.
   void abort() {
     aborted_.store(true, std::memory_order_release);
     for (std::size_t i = 0;
@@ -139,7 +128,6 @@ class HandshakeTable {
   struct Slot {
     std::mutex mutex;
     std::condition_variable cv;
-    vgpu::Event event;
     std::uint64_t superstep = 0;
     bool armed = false;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -16,6 +17,12 @@ std::string lower(std::string s) {
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
 }
+
+/// Entries reserved up front from a MatrixMarket size line; beyond
+/// this the COO grows as entries actually arrive, so a header that
+/// overstates its entry count ends in "truncated entry list" rather
+/// than a huge allocation.
+constexpr long long kMaxReservedEntries = 1 << 20;
 
 bool next_content_line(std::istream& in, std::string& line) {
   while (std::getline(in, line)) {
@@ -58,11 +65,23 @@ GraphCoo read_matrix_market(std::istream& in) {
   long long rows = 0, cols = 0, entries = 0;
   ss >> rows >> cols >> entries;
   MGG_CHECK(rows > 0 && cols > 0 && entries >= 0, Status::kIoError,
-            "bad size line");
+            "bad size line: " + line);
+  // Row/column n becomes vertex n-1, which must stay below the
+  // kInvalidVertex sentinel.
+  MGG_CHECK(rows <= kInvalidVertex && cols <= kInvalidVertex,
+            Status::kIoError,
+            "size line exceeds " + std::to_string(kInvalidVertex) +
+                " rows or columns: " + line);
+  MGG_CHECK(entries <= std::numeric_limits<SizeT>::max(), Status::kIoError,
+            "size line exceeds " +
+                std::to_string(std::numeric_limits<SizeT>::max()) +
+                " entries: " + line);
 
   GraphCoo coo;
   coo.num_vertices = static_cast<VertexT>(std::max(rows, cols));
-  coo.reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
+  coo.reserve(static_cast<std::size_t>(
+                  std::min(entries, kMaxReservedEntries)) *
+              (symmetric ? 2 : 1));
   for (long long e = 0; e < entries; ++e) {
     MGG_CHECK(next_content_line(in, line), Status::kIoError,
               "truncated entry list");
@@ -124,6 +143,9 @@ GraphCoo read_edge_list(std::istream& in) {
     es >> u >> v;
     MGG_CHECK(u >= 0 && v >= 0, Status::kIoError,
               "bad edge list line: " + line);
+    MGG_CHECK(u < kInvalidVertex && v < kInvalidVertex, Status::kIoError,
+              "edge list vertex ID at or above " +
+                  std::to_string(kInvalidVertex) + ": " + line);
     const bool has_w = static_cast<bool>(es >> w);
     if (first_edge) {
       weighted = has_w;

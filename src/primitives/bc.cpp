@@ -192,8 +192,8 @@ void BcEnactor::core_backward(Slice& s) {
 // Pipeline note: the forward phase pushes TWO messages to each peer
 // (kSigmaPartial, then the kFinalizedLevel broadcast), so no peer's
 // handshake may be signaled after the first push — the enactor's
-// post-communicate backfill records each peer's event once all pushes
-// are on the comm stream, which is the conservative correct schedule.
+// post-communicate backfill publishes each peer's handshake once all
+// pushes have landed, which is the conservative correct schedule.
 void BcEnactor::communicate(Slice& s) {
   if (phase_ == Phase::kForward) {
     communicate_forward(s);

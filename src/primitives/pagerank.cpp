@@ -106,7 +106,7 @@ void PagerankEnactor::communicate(Slice& s) {
     if (peer == s.gpu) continue;
     const std::span<const VertexT> sources = peer_bucket(s, peer);
     if (sources.empty()) {
-      mark_peer_idle(s, peer);
+      mark_peer_done(s, peer);
       continue;
     }
     if (pipeline_mode()) {
@@ -128,7 +128,7 @@ void PagerankEnactor::communicate(Slice& s) {
     encode_for_wire(
         s, msg, static_cast<std::size_t>(problem().sub(peer).num_total()));
     bus().push(s.gpu, peer, std::move(msg));
-    mark_peer_pushed(s, peer);
+    mark_peer_done(s, peer);
   }
   // Remainder of the packaging charge (BSP: the whole thing, since no
   // chunks were carved out above). Vertex/launch totals match across

@@ -211,6 +211,16 @@ QueryService::QueryService(const graph::Graph& g,
 
 QueryService::~QueryService() = default;
 
+bool QueryService::Batch::add(std::size_t query_index, VertexT src,
+                              std::size_t width) {
+  const auto it = std::find(sources.begin(), sources.end(), src);
+  if (it == sources.end() && sources.size() >= width) return false;
+  const int slot = static_cast<int>(it - sources.begin());
+  if (it == sources.end()) sources.push_back(src);
+  members.push_back({query_index, slot});
+  return true;
+}
+
 std::vector<QueryService::Batch> QueryService::pack(
     std::span<const Query> queries) const {
   std::vector<Batch> batches;
@@ -218,37 +228,22 @@ std::vector<QueryService::Batch> QueryService::pack(
   // share its slot, so a batch can answer more queries than its width.
   int open[2] = {-1, -1};  // index into batches, or -1
   std::uint64_t next_id = 1;
+  const auto width = static_cast<std::size_t>(options_.batch_width);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     const bool sssp = q.kind == QueryKind::kSsspDist;
     const int cls = sssp ? 1 : 0;
-    int slot = -1;
-    if (open[cls] >= 0) {
-      const auto& sources = batches[static_cast<std::size_t>(open[cls])].sources;
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        if (sources[s] == q.src) {
-          slot = static_cast<int>(s);
-          break;
-        }
-      }
-      if (slot < 0 && sources.size() ==
-                          static_cast<std::size_t>(options_.batch_width)) {
-        open[cls] = -1;  // full: close it
-      }
+    if (open[cls] >= 0 &&
+        batches[static_cast<std::size_t>(open[cls])].add(i, q.src, width)) {
+      continue;
     }
-    if (open[cls] < 0) {
-      Batch b;
-      b.id = next_id++;
-      b.sssp = sssp;
-      open[cls] = static_cast<int>(batches.size());
-      batches.push_back(std::move(b));
-    }
-    Batch& b = batches[static_cast<std::size_t>(open[cls])];
-    if (slot < 0) {
-      slot = static_cast<int>(b.sources.size());
-      b.sources.push_back(q.src);
-    }
-    b.members.push_back({i, slot});
+    // No open batch, or it is full: open the next one.
+    Batch b;
+    b.id = next_id++;
+    b.sssp = sssp;
+    b.add(i, q.src);
+    open[cls] = static_cast<int>(batches.size());
+    batches.push_back(std::move(b));
   }
   return batches;
 }
@@ -368,20 +363,9 @@ std::vector<QueryResult> QueryService::execute(
     nb.sssp = failed.sssp;
     nb.id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
     for (const Batch::Member& m : failed.members) {
-      if (resolved[m.query_index]) continue;
-      const VertexT src = queries[m.query_index].src;
-      int slot = -1;
-      for (std::size_t s = 0; s < nb.sources.size(); ++s) {
-        if (nb.sources[s] == src) {
-          slot = static_cast<int>(s);
-          break;
-        }
+      if (!resolved[m.query_index]) {
+        nb.add(m.query_index, queries[m.query_index].src);
       }
-      if (slot < 0) {
-        slot = static_cast<int>(nb.sources.size());
-        nb.sources.push_back(src);
-      }
-      nb.members.push_back({m.query_index, slot});
     }
     if (nb.members.empty()) return;
     enqueue_batch(std::move(nb), next_attempt, not_before);
@@ -585,30 +569,17 @@ std::vector<QueryResult> QueryService::execute(
         pending.fetch_add(1, std::memory_order_acq_rel);
         const bool sssp = q.kind == QueryKind::kSsspDist;
         const int cls = sssp ? 1 : 0;
-        int slot = -1;
-        if (active[cls]) {
-          for (std::size_t s = 0; s < open[cls].sources.size(); ++s) {
-            if (open[cls].sources[s] == q.src) {
-              slot = static_cast<int>(s);
-              break;
-            }
-          }
-          if (slot < 0 &&
-              open[cls].sources.size() ==
-                  static_cast<std::size_t>(options_.batch_width)) {
-            flush(cls);
-          }
+        if (active[cls] &&
+            open[cls].add(i, q.src,
+                          static_cast<std::size_t>(options_.batch_width))) {
+          continue;
         }
-        if (!active[cls]) {
-          open[cls].id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
-          open[cls].sssp = sssp;
-          active[cls] = true;
-        }
-        if (slot < 0) {
-          slot = static_cast<int>(open[cls].sources.size());
-          open[cls].sources.push_back(q.src);
-        }
-        open[cls].members.push_back({i, slot});
+        // No open batch, or it is full: hand it over, open the next.
+        flush(cls);
+        open[cls].id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
+        open[cls].sssp = sssp;
+        open[cls].add(i, q.src);
+        active[cls] = true;
       }
       flush(0);
       flush(1);

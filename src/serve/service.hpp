@@ -37,7 +37,9 @@
 // any modeled cost.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -174,6 +176,13 @@ class QueryService {
     std::vector<Member> members;
     bool completed = false;   ///< enactment succeeded; `run` is valid
     vgpu::RunStats run;
+
+    /// Add query `query_index` on `src`: it shares the slot of an
+    /// already-batched source, or `src` takes the next slot. Returns
+    /// false, adding nothing, when `src` needs a new slot but the
+    /// batch already holds `width` sources.
+    bool add(std::size_t query_index, VertexT src,
+             std::size_t width = std::numeric_limits<std::size_t>::max());
   };
 
   std::vector<Batch> pack(std::span<const Query> queries) const;

@@ -1,9 +1,12 @@
 // A virtual GPU device.
 //
 // Bundles the pieces a primitive interacts with: a memory manager
-// (capacity + accounting), two streams (compute and communication, so
-// the framework can overlap them as in §III-B), and per-iteration cost
-// counters fed by the operators and the communication layer.
+// (capacity + accounting) and per-iteration cost counters fed by the
+// operators and the communication layer. A device runs no thread of
+// its own: kernels and pushes execute on the caller's thread, and the
+// paper's compute/comm stream overlap (§III-B) is modeled by placing
+// each charge on a compute or a comm timeline (add_kernel_cost /
+// add_comm_cost).
 #pragma once
 
 #include <algorithm>
@@ -12,13 +15,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 #include "vgpu/cost.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/gpu_model.hpp"
 #include "vgpu/memory.hpp"
-#include "vgpu/stream.hpp"
 #include "vgpu/trace.hpp"
 
 namespace mgg::vgpu {
@@ -28,16 +32,12 @@ class Device {
   Device(int id, GpuModel model)
       : id_(id),
         model_(std::move(model)),
-        memory_(model_.memory_bytes),
-        compute_stream_("gpu" + std::to_string(id) + ".compute"),
-        comm_stream_("gpu" + std::to_string(id) + ".comm") {}
+        memory_(model_.memory_bytes) {}
 
   int id() const noexcept { return id_; }
   const GpuModel& model() const noexcept { return model_; }
   MemoryManager& memory() noexcept { return memory_; }
   const MemoryManager& memory() const noexcept { return memory_; }
-  Stream& compute_stream() noexcept { return compute_stream_; }
-  Stream& comm_stream() noexcept { return comm_stream_; }
 
   /// Record the cost of one kernel: `edges` advance work items,
   /// `vertices` filter/compute items, `launches` kernel launches.
@@ -45,7 +45,7 @@ class Device {
   /// advance load-balancing policy (core/load_balance.hpp): a skewed
   /// mapping's kernel finishes when its most loaded worker does, so
   /// modeled edge time stretches by that factor while the raw work
-  /// counters stay truthful. Thread safe (called from stream workers).
+  /// counters stay truthful. Thread safe.
   /// `trace_name`/`trace_cat` label the span when a Tracer is attached
   /// (static-lifetime string; no effect on the accounting).
   void add_kernel_cost(std::uint64_t edges, std::uint64_t vertices,
@@ -53,7 +53,7 @@ class Device {
                        const char* trace_name = nullptr,
                        TraceCategory trace_cat = TraceCategory::kKernel) {
     // The scale knobs are retuned from control threads (Table V /
-    // workload-scale) while stream workers record costs, so they are
+    // workload-scale) while other threads record costs, so they are
     // atomics; the cost arithmetic stays outside the counter mutex to
     // keep this hot path short.
     double fault_slowdown = 1.0;
@@ -139,9 +139,8 @@ class Device {
   }
 
   /// Modeled compute-timeline position within the current iteration:
-  /// the earliest point a transfer submitted "now" could start. Thread
-  /// safe (the comm layer stamps it from enactor control threads while
-  /// stream workers record costs).
+  /// the earliest point a transfer submitted "now" could start.
+  /// Thread safe.
   double modeled_compute_time() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return counters_.compute_s;
@@ -157,7 +156,7 @@ class Device {
   }
 
   /// Table V knob: scale traffic-bound costs for wider IDs. Atomic:
-  /// stream workers read it while recording costs.
+  /// other threads read it while recording costs.
   void set_id_scale(double scale) {
     id_scale_.store(scale, std::memory_order_relaxed);
   }
@@ -192,7 +191,7 @@ class Device {
 
   /// Attach (or detach, with nullptr) a tracer. Every kernel and
   /// transfer cost recorded while attached also records a TraceSpan.
-  /// Attach while the device is idle (no in-flight stream work).
+  /// Attach while the device is idle (no enactment running).
   void set_tracer(Tracer* tracer) {
     std::lock_guard<std::mutex> lock(mutex_);
     tracer_ = tracer;
@@ -202,18 +201,10 @@ class Device {
     return tracer_;
   }
 
-  /// Wait for both streams to drain.
-  void synchronize() {
-    compute_stream_.synchronize();
-    comm_stream_.synchronize();
-  }
-
  private:
   int id_;
   GpuModel model_;
   MemoryManager memory_;
-  Stream compute_stream_;
-  Stream comm_stream_;
   mutable std::mutex mutex_;
   IterationCounters counters_;
   std::atomic<double> id_scale_{1.0};

@@ -17,8 +17,8 @@
 // handshake publishes per (src, dst) slot. Wall clock never enters a
 // decision, so a failing run replays bit-identically from (plan,
 // schedule). Counters are advanced atomically by whichever thread
-// reaches the site (stream workers, control threads), which is exactly
-// the ordering the enactor already makes deterministic per site.
+// reaches the site, which is exactly the ordering the enactor already
+// makes deterministic per site.
 //
 // A transient spec with `count = k` fires on `k` consecutive events of
 // its site starting at `at_event`, then clears — so a retry loop that

@@ -68,8 +68,4 @@ void Machine::set_fault_injector(FaultInjector* injector) {
   for (auto& device : devices_) device->set_fault_injector(injector);
 }
 
-void Machine::synchronize() {
-  for (auto& device : devices_) device->synchronize();
-}
-
 }  // namespace mgg::vgpu

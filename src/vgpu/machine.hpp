@@ -62,9 +62,6 @@ class Machine {
   void set_fault_injector(FaultInjector* injector);
   FaultInjector* fault_injector() const noexcept { return fault_injector_; }
 
-  /// Block until every device's streams drain.
-  void synchronize();
-
  private:
   GpuModel model_;
   std::vector<std::unique_ptr<Device>> devices_;

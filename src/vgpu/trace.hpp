@@ -51,7 +51,7 @@ namespace mgg::vgpu {
 enum class TraceCategory : std::uint8_t {
   kKernel,    ///< modeled compute kernel (advance, filter, compute, ...)
   kCombine,   ///< ExpandIncoming combine kernel (communication compute C)
-  kTransfer,  ///< inter-GPU push on the comm stream
+  kTransfer,  ///< inter-GPU push on the comm timeline
   kSync,      ///< per-superstep barrier overhead l(n) (synthesized)
   kWait,      ///< pipeline handshake wait (zero modeled width; wall time
               ///< observed in wall_s)
@@ -163,14 +163,14 @@ class Tracer {
   /// and the schedule's overhead/overlap charges. Called by the
   /// enactor from its exclusive close-iteration step — every span of
   /// the closing superstep has been recorded by then (workers park at
-  /// the barrier with their comm streams synchronized).
+  /// the barrier after their pushes returned).
   void close_superstep(std::uint64_t iteration,
                        std::span<const IterationCounters> per_gpu,
                        double overhead_s, double hidden_s, bool pipeline);
 
   // ----------------------------------------------------------------
-  // Analysis / export. Call only when no thread is recording (devices
-  // synchronized, enact() returned).
+  // Analysis / export. Call only when no thread is recording
+  // (enact() returned).
   // ----------------------------------------------------------------
 
   /// All spans, merged across threads and sorted by (superstep, gpu,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -55,6 +56,48 @@ TEST(MatrixMarket, RejectsGarbage) {
   EXPECT_THROW(graph::read_matrix_market(truncated), Error);
 }
 
+// Dimensions, IDs and entry counts must fit the 32-bit VertexT/SizeT
+// types: narrowing them silently would alias vertices.
+TEST(MatrixMarket, RejectsDimensionsBeyondVertexT) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "4294967301 4294967301 1\n"
+      "4294967301 1\n");
+  try {
+    graph::read_matrix_market(in);
+    FAIL() << "a 2^32 + 5 row count was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kIoError) << e.what();
+  }
+}
+
+TEST(MatrixMarket, RejectsEntryCountBeyondSizeT) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "2 2 999999999999999999\n"
+      "1 2\n");
+  try {
+    graph::read_matrix_market(in);
+    FAIL() << "an entry count beyond SizeT was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kIoError) << e.what();
+  }
+  // An in-range but overstated count reserves only a bounded block up
+  // front and ends in the truncated-entry-list error.
+  std::istringstream overstated(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "2 2 4294967295\n"
+      "1 2\n");
+  try {
+    graph::read_matrix_market(overstated);
+    FAIL() << "a truncated entry list was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kIoError) << e.what();
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(MatrixMarket, RoundTrip) {
   GraphCoo coo;
   coo.num_vertices = 5;
@@ -88,6 +131,18 @@ TEST(EdgeList, RejectsMixedWeighting) {
       "0 1 3.5\n"
       "2 0\n");
   EXPECT_THROW(graph::read_edge_list(in), Error);
+}
+
+TEST(EdgeList, RejectsIdsBeyondVertexT) {
+  std::istringstream in("0 4294967301\n");
+  try {
+    graph::read_edge_list(in);
+    FAIL() << "vertex 2^32 + 5 was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kIoError) << e.what();
+    EXPECT_NE(std::string(e.what()).find("0 4294967301"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EdgeList, RoundTrip) {

@@ -230,5 +230,56 @@ TEST(MsBfs, RejectsInvalidBatches) {
   EXPECT_THROW(enactor.reset(out_of_range), Error);
 }
 
+// Serving reuses one Problem/Enactor pair for many back-to-back
+// enactments (reset + enact per batch). Pooled per-query state —
+// frontier dense flags, operator dedup bitmaps, comm-bus inboxes,
+// mask/update words — must carry nothing across runs: every reused
+// run must be bit-identical to a fresh-instance run of the same batch.
+TEST(MsBfs, BackToBackEnactmentsCarryNoState) {
+  const auto g = test::small_rmat();
+  auto cfg = test::config_for(4);
+  // Dense mode on: the dense frontier flags are exactly the kind of
+  // pooled state a stale run could leak through.
+  cfg.dense_threshold = 0.25;
+  auto machine = test::test_machine(4);
+  prim::MsBfsProblem problem(prim::kMaxBatchWidth);
+  problem.init(g, machine, cfg);
+  prim::MsBfsEnactor enactor(problem);
+
+  util::Rng rng(99);
+  for (int round = 0; round < 6; ++round) {
+    // Alternate widths so a wide run precedes a narrow one — stale
+    // high-slot state from round k would corrupt round k+1.
+    const std::size_t width = (round % 2 == 0) ? 64 : 3;
+    std::vector<VertexT> srcs;
+    for (std::size_t i = 0; i < width; ++i) {
+      srcs.push_back(static_cast<VertexT>(rng.next_below(g.num_vertices)));
+    }
+    enactor.reset(srcs);
+    const auto reused_stats = enactor.enact();
+
+    auto fresh_machine = test::test_machine(4);
+    const auto fresh = prim::run_msbfs(g, srcs, fresh_machine, cfg);
+    EXPECT_EQ(fresh.stats.iterations, reused_stats.iterations)
+        << "round " << round;
+    EXPECT_EQ(fresh.stats.total_edges, reused_stats.total_edges)
+        << "round " << round;
+    EXPECT_EQ(fresh.stats.total_comm_bytes, reused_stats.total_comm_bytes)
+        << "round " << round;
+    const auto& pg = problem.partitioned();
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const auto want = fresh.slot(static_cast<int>(slot), g.num_vertices);
+      for (VertexT v = 0; v < g.num_vertices; ++v) {
+        const int gpu = pg.owner_of(v);
+        const std::size_t stride = pg.sub(gpu).num_total();
+        const VertexT got =
+            problem.data(gpu).depth[slot * stride + pg.host_local_of(v)];
+        ASSERT_EQ(want[v], got)
+            << "round " << round << " slot " << slot << " vertex " << v;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mgg

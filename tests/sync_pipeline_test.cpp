@@ -7,9 +7,12 @@
 // everywhere else: results, W (edges/vertices/launches), and H
 // (comm items/bytes, combine items) must match bit for bit at every
 // GPU count, for every primitive, under both comm strategies, and
-// regardless of thread timing. These tests pin that contract.
+// regardless of thread timing. These tests pin that contract, and
+// stress the handshake table itself (ordering, abort, injected stalls).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <chrono>
 #include <numeric>
 #include <random>
@@ -19,13 +22,16 @@
 
 #include "core/comm.hpp"
 #include "core/enactor.hpp"
+#include "core/handshake.hpp"
 #include "core/problem.hpp"
 #include "primitives/bc.hpp"
 #include "primitives/bfs.hpp"
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
+#include "util/random.hpp"
 #include "vgpu/cost.hpp"
+#include "vgpu/fault.hpp"
 
 namespace mgg {
 namespace {
@@ -343,7 +349,6 @@ TEST(SyncPipeline, StrictDrainProtocolRejectsUnreleasedBatch) {
     msg.set_layout(0, 0, 1);
     msg.vertices[0] = 7;
     bus.push(0, 1, std::move(msg));
-    machine.device(0).comm_stream().synchronize();
   };
 
   send();
@@ -367,6 +372,128 @@ TEST(SyncPipeline, StrictDrainProtocolRejectsUnreleasedBatch) {
   ASSERT_EQ(per_sender.size(), 1u);
   EXPECT_EQ(per_sender[0].vertices[0], 7u);
   bus.release_drained(1);
+}
+
+// The handshake protocol under adversarial timing: n workers run many
+// supersteps in lockstep (convergence barrier only, like the pipeline
+// enactor), each sleeping a random amount before writing one mailbox
+// cell per peer and publishing that peer's handshake, then taking every
+// peer's handshake and reading its cell. The cells are deliberately
+// unsynchronized apart from the handshake itself, so any hole in the
+// publish/take happens-before chain shows up as a wrong value — and,
+// under the TSan build this suite also runs in, as a data race.
+TEST(SyncPipeline, HandshakeOrderingUnderRandomizedDelays) {
+  constexpr int kGpus = 4;
+  constexpr int kSupersteps = 150;
+  core::HandshakeTable table(kGpus);
+
+  // mailbox[src][dst]: the last value src wrote for dst.
+  std::uint64_t mailbox[kGpus][kGpus] = {};
+  std::atomic<std::uint64_t> verified{0};
+  std::atomic<int> mismatches{0};
+  std::barrier<> step_barrier(kGpus);
+
+  auto worker = [&](int g) {
+    util::Rng rng(1000 + g);
+    for (std::uint64_t step = 0; step < kSupersteps; ++step) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(rng.next_below(200)));
+      for (int peer = 0; peer < kGpus; ++peer) {
+        if (peer == g) continue;
+        mailbox[g][peer] = step * 1000 + static_cast<std::uint64_t>(g);
+        table.publish(g, peer, step);
+      }
+      for (int src = 0; src < kGpus; ++src) {
+        if (src == g) continue;
+        table.take(src, g, step);
+        if (mailbox[src][g] !=
+            step * 1000 + static_cast<std::uint64_t>(src)) {
+          mismatches.fetch_add(1);
+        }
+        verified.fetch_add(1);
+      }
+      step_barrier.arrive_and_wait();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int g = 0; g < kGpus; ++g) threads.emplace_back(worker, g);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(verified.load(),
+            static_cast<std::uint64_t>(kGpus) * (kGpus - 1) * kSupersteps);
+}
+
+// abort() racing blocked takers: every take must return instead of
+// deadlocking, no matter where in the superstep each taker was when
+// the abort landed.
+TEST(SyncPipeline, HandshakeAbortUnblocksAllTakers) {
+  constexpr int kGpus = 4;
+  core::HandshakeTable table(kGpus);
+  std::atomic<int> returned{0};
+  std::vector<std::thread> takers;
+  for (int g = 1; g < kGpus; ++g) {
+    takers.emplace_back([&, g] {
+      // GPU 0 died before publishing superstep 5; these block.
+      table.take(0, g, 5);
+      returned.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  table.abort();
+  for (auto& t : takers) t.join();
+  EXPECT_EQ(returned.load(), kGpus - 1);
+  // Late stragglers after the abort: publish is dropped, take returns
+  // immediately.
+  table.publish(1, 2, 7);
+  table.take(3, 2, 9);
+  // A reset re-arms the table for the next run.
+  table.reset();
+  EXPECT_FALSE(table.aborted());
+}
+
+// Injected-stall abort stressor: a fault injector swallows one
+// handshake publish, stranding the receiver in take(); a control
+// thread (standing in for the enactor watchdog) aborts the table,
+// which must release the stalled waiter and let every worker finish.
+TEST(SyncPipeline, HandshakeInjectedStallAbortReleasesBlockedWaiters) {
+  constexpr int kGpus = 3;
+  core::HandshakeTable table(kGpus);
+
+  vgpu::FaultSpec drop;
+  drop.kind = vgpu::FaultKind::kHandshakeDrop;
+  drop.device = 0;  // the 0 -> 1 link's first publish is swallowed
+  drop.peer = 1;
+  drop.at_event = 0;
+  drop.count = 1;
+  vgpu::FaultPlan plan;
+  plan.specs.push_back(drop);
+  vgpu::FaultInjector injector(plan, kGpus);
+  table.set_fault_injector(&injector);
+
+  std::atomic<int> released{0};
+  std::vector<std::thread> workers;
+  for (int g = 0; g < kGpus; ++g) {
+    workers.emplace_back([&, g] {
+      for (int peer = 0; peer < kGpus; ++peer) {
+        if (peer != g) table.publish(g, peer, 0);
+      }
+      for (int src = 0; src < kGpus; ++src) {
+        if (src != g) table.take(src, g, 0);
+      }
+      released.fetch_add(1);
+    });
+  }
+  // GPU 1 is stalled in take(0, 1, 0) — its sender's publish was
+  // dropped. After a grace period the "watchdog" aborts.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(injector.injected_count(), 1u);
+  table.abort();
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(released.load(), kGpus);
+  table.set_fault_injector(nullptr);
+  table.reset();
+  EXPECT_FALSE(table.aborted());
 }
 
 }  // namespace

@@ -267,7 +267,6 @@ TEST(Trace, DifferentialBfs) {
       vgpu::Tracer tracer;
       traced_machine.set_tracer(&tracer);
       const auto traced = prim::run_bfs(g, src, traced_machine, cfg);
-      traced_machine.synchronize();
 
       const std::string what =
           "bfs gpus=" + std::to_string(gpus) +
@@ -296,7 +295,6 @@ TEST(Trace, DifferentialSssp) {
       vgpu::Tracer tracer;
       traced_machine.set_tracer(&tracer);
       const auto traced = prim::run_sssp(g, src, traced_machine, cfg);
-      traced_machine.synchronize();
 
       const std::string what =
           "sssp gpus=" + std::to_string(gpus) +
@@ -324,7 +322,6 @@ TEST(Trace, DifferentialPagerank) {
       traced_machine.set_tracer(&tracer);
       const auto traced =
           prim::run_pagerank(g, traced_machine, cfg, options);
-      traced_machine.synchronize();
 
       const std::string what =
           "pr gpus=" + std::to_string(gpus) +
@@ -348,7 +345,6 @@ class TracedBfs {
     enactor = std::make_unique<prim::BfsEnactor>(problem);
     enactor->reset(test::first_connected_vertex(g));
     stats = enactor->enact();
-    machine_.synchronize();
   }
 
  private:
@@ -568,7 +564,6 @@ TEST(Trace, NoUnderflowsInNormalRuns) {
   machine.set_tracer(&tracer);
   prim::run_bfs(g, src, machine,
                 config_with(4, core::SyncMode::kEventPipeline));
-  machine.synchronize();
   for (int gpu = 0; gpu < machine.num_devices(); ++gpu) {
     EXPECT_EQ(machine.device(gpu).memory().underflow_count(), 0u);
   }
@@ -594,7 +589,6 @@ TEST(Trace, PoolThreadsKeepSpanAttribution) {
     auto machine = test::test_machine(4);
     machine.set_tracer(&tracer);
     prim::run_bfs(g, src, machine, cfg);
-    machine.synchronize();
 
     const auto spans = tracer.sorted_spans();
     // Start times are superstep-relative, so a lane is monotone in the
@@ -667,13 +661,11 @@ TEST(Trace, ClearAllowsReuse) {
   machine.set_tracer(&tracer);
   const auto cfg = config_with(2, core::SyncMode::kBspBarrier);
   prim::run_bfs(g, src, machine, cfg);
-  machine.synchronize();
   ASSERT_GT(tracer.span_count(), 0u);
   tracer.clear();
   EXPECT_EQ(tracer.span_count(), 0u);
   EXPECT_TRUE(tracer.supersteps().empty());
   const auto again = prim::run_bfs(g, src, machine, cfg);
-  machine.synchronize();
   EXPECT_EQ(tracer.supersteps().size(), again.stats.iterations);
 }
 
@@ -693,7 +685,6 @@ TEST(Trace, BatchTagIsObservationOnly) {
   traced_machine.set_tracer(&tracer);
   tracer.set_batch(7);
   const auto traced = prim::run_bfs(g, src, traced_machine, cfg);
-  traced_machine.synchronize();
 
   EXPECT_EQ(plain.labels, traced.labels) << "batch tag perturbed results";
   expect_stats_identical(plain.stats, traced.stats, "batch tag");
@@ -710,7 +701,6 @@ TEST(Trace, BatchTagIsObservationOnly) {
   tracer.clear();
   EXPECT_EQ(tracer.batch(), 0u);
   prim::run_bfs(g, src, traced_machine, cfg);
-  traced_machine.synchronize();
   for (const auto& span : tracer.sorted_spans()) {
     EXPECT_EQ(span.batch, 0u);
   }

@@ -1,8 +1,10 @@
-// Unit tests for the virtual-GPU substrate: memory manager, streams &
-// events, interconnect, cost model, machine presets.
+// Unit tests for the virtual-GPU substrate: memory manager,
+// interconnect, cost model, machine presets.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <thread>
@@ -14,7 +16,6 @@
 #include "vgpu/interconnect.hpp"
 #include "vgpu/machine.hpp"
 #include "vgpu/memory.hpp"
-#include "vgpu/stream.hpp"
 
 namespace mgg {
 namespace {
@@ -75,54 +76,6 @@ TEST(MemoryManager, Array1DIntegration) {
     EXPECT_EQ(mem.current_bytes(), 800u);
   }
   EXPECT_EQ(mem.current_bytes(), 0u);  // RAII released
-}
-
-TEST(Stream, ExecutesInOrder) {
-  vgpu::Stream stream("test");
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    stream.submit([&order, i] { order.push_back(i); });
-  }
-  stream.synchronize();
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Stream, EventCrossStreamDependency) {
-  // cudaStreamWaitEvent semantics: consumer's later work runs only
-  // after the producer's event fires, without blocking the host.
-  vgpu::Stream producer("producer");
-  vgpu::Stream consumer("consumer");
-  std::atomic<int> value{0};
-
-  producer.submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    value.store(42);
-  });
-  vgpu::Event ready = producer.record_event();
-  consumer.wait_event(ready);
-  int seen = -1;
-  consumer.submit([&] { seen = value.load(); });
-  consumer.synchronize();
-  EXPECT_EQ(seen, 42);
-}
-
-TEST(Stream, ExceptionSurfacesOnSynchronize) {
-  vgpu::Stream stream("test");
-  stream.submit([] { throw Error(Status::kInternal, "async boom"); });
-  stream.submit([] {});  // later work still runs
-  EXPECT_THROW(stream.synchronize(), Error);
-  // The error is consumed; the stream is usable again.
-  stream.submit([] {});
-  EXPECT_NO_THROW(stream.synchronize());
-}
-
-TEST(Event, QueryAndFire) {
-  vgpu::Event e;
-  EXPECT_FALSE(e.query());
-  e.fire();
-  EXPECT_TRUE(e.query());
-  e.wait();  // must not block after firing
 }
 
 TEST(Interconnect, PeerGroupsOfFour) {
@@ -224,6 +177,22 @@ TEST(Machine, PresetsAndModels) {
 TEST(Machine, DeviceMemoryCapacityMatchesModel) {
   auto m = vgpu::Machine::create("k40", 1);
   EXPECT_EQ(m.device(0).memory().capacity_bytes(), 12ull << 30);
+}
+
+// A vGPU is a memory manager plus cost counters: kernels and pushes run
+// on the caller's thread, so building a machine starts no threads.
+TEST(Machine, CreateSpawnsNoThreads) {
+  const auto thread_count = [] {
+    const std::filesystem::path tasks("/proc/self/task");
+    if (!std::filesystem::exists(tasks)) return std::ptrdiff_t{-1};
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator{});
+  };
+  const std::ptrdiff_t before = thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  const auto machine = vgpu::Machine::create("k40", 8);
+  EXPECT_EQ(machine.num_devices(), 8);
+  EXPECT_EQ(thread_count(), before);
 }
 
 // ---------------------------------------------------------------------
