@@ -17,6 +17,11 @@ cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
 
+echo "==> perfbench harness self-tests"
+# The benchmark's metric reduction and comparison logic (percentiles,
+# spreads, verdicts), checked on fixed inputs; no build needed.
+python3 perfbench/test_metrics.py
+
 echo "==> operator-pipeline property suite (explicit)"
 "$BUILD/tests/mgg_tests" --gtest_filter='OperatorPipeline.*'
 

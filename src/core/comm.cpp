@@ -90,7 +90,7 @@ inline std::size_t put_varint_at(std::uint8_t* p, std::uint64_t v) noexcept {
 }
 
 /// LEB128 read with bounds checking; throws kInternal on truncation or
-/// a >10-byte (i.e. corrupt) code.
+/// a code that does not fit u64 (a 10th byte above 1, or an 11th).
 inline std::uint64_t get_varint(const std::uint8_t* data, std::size_t size,
                                 std::size_t& pos) {
   std::uint64_t v = 0;
@@ -98,8 +98,9 @@ inline std::uint64_t get_varint(const std::uint8_t* data, std::size_t size,
   for (;;) {
     MGG_CHECK(pos < size, Status::kInternal,
               "wire: truncated varint payload");
-    MGG_CHECK(shift < 64, Status::kInternal, "wire: varint overflows u64");
     const std::uint8_t byte = data[pos++];
+    MGG_CHECK(shift < 63 || byte <= 1, Status::kInternal,
+              "wire: varint overflows u64");
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
     shift += 7;
@@ -331,11 +332,15 @@ void decode(Message& msg) {
     const std::uint64_t n_header = get_varint(data, size, pos);
     MGG_CHECK(n_header == n, Status::kInternal,
               "wire: varint header item count mismatch");
+    constexpr std::int64_t kMaxId = std::numeric_limits<VertexT>::max();
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      prev += unzigzag(get_varint(data, size, pos));
-      MGG_CHECK(prev >= 0 && prev <= 0xFFFFFFFFll, Status::kInternal,
+      // Range-check the delta before adding it: prev is in [0, kMaxId],
+      // so neither bound below overflows, and the sum cannot either.
+      const std::int64_t delta = unzigzag(get_varint(data, size, pos));
+      MGG_CHECK(delta >= -prev && delta <= kMaxId - prev, Status::kInternal,
                 "wire: decoded vertex out of VertexT range");
+      prev += delta;
       msg.vertices[i] = static_cast<VertexT>(prev);
     }
     MGG_CHECK(pos == size, Status::kInternal,
@@ -568,23 +573,49 @@ void CommBus::flush_relays() {
       Message& merged = relay_scratch_;
       merged.recycle();
       std::size_t j = i;
+      std::size_t staged_items = 0;
       for (; j < staged.size() && staged[j].relay_dst == dst &&
              staged[j].tag == staged[i].tag;
            ++j) {
-        merged.vertices.insert(merged.vertices.end(),
-                               staged[j].vertices.begin(),
-                               staged[j].vertices.end());
+        staged_items += staged[j].vertices.size();
       }
-      const std::size_t staged_items = merged.vertices.size();
       if (two_level_.combine == TwoLevelPolicy::Combine::kDedupMin) {
         // The surviving key set of the (src, tag)-ordered min-combine
-        // is exactly the sorted unique set; sorting also makes the
-        // merged sequence ascending, so the bitmap re-encode is
-        // admissible when the density pays.
-        std::sort(merged.vertices.begin(), merged.vertices.end());
-        merged.vertices.erase(
-            std::unique(merged.vertices.begin(), merged.vertices.end()),
-            merged.vertices.end());
+        // is exactly the sorted unique set. A bitmap over [0, max_id]
+        // yields it in O(staged + max_id / 64) — one bit per staged
+        // ID, set bits read out ascending — so the bitmap re-encode is
+        // admissible when the density pays. Sized from the IDs
+        // themselves: the node universe does not bound them.
+        VertexT max_id = 0;
+        for (std::size_t k = i; k < j; ++k) {
+          for (const VertexT v : staged[k].vertices) {
+            max_id = std::max(max_id, v);
+          }
+        }
+        const std::size_t n_words = static_cast<std::size_t>(max_id) / 64 + 1;
+        if (relay_bits_.size() < n_words) relay_bits_.resize(n_words);
+        std::fill_n(relay_bits_.begin(), n_words, std::uint64_t{0});
+        for (std::size_t k = i; k < j; ++k) {
+          for (const VertexT v : staged[k].vertices) {
+            relay_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+          }
+        }
+        merged.vertices.resize(staged_items);
+        std::size_t out = 0;
+        for (std::size_t w = 0; w < n_words; ++w) {
+          for (std::uint64_t word = relay_bits_[w]; word != 0;
+               word &= word - 1) {
+            merged.vertices[out++] =
+                static_cast<VertexT>(w * 64 + std::countr_zero(word));
+          }
+        }
+        merged.vertices.resize(out);
+      } else {
+        for (std::size_t k = i; k < j; ++k) {
+          merged.vertices.insert(merged.vertices.end(),
+                                 staged[k].vertices.begin(),
+                                 staged[k].vertices.end());
+        }
       }
       const std::size_t merged_n = merged.vertices.size();
       gateway_merges_.fetch_add(1, std::memory_order_relaxed);

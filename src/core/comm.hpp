@@ -418,16 +418,18 @@ class CommBus {
 
   /// Realize the gateways' modeled work for the staged cross-node
   /// pushes of the closing superstep: per (gateway, destination, tag),
-  /// merge the delivered messages in the ledger (dedup per the
-  /// policy), charge the merge (and the decode of payloads that
-  /// travelled compressed) as gateway kernels, re-encode once against
-  /// the destination node's universe, and charge the single inter-node
-  /// transfer (fault-injected and retried like any push, items = 0 —
-  /// the items were counted once on the staged hop); then recycle the
-  /// messages into the pool. Call exactly once per superstep, after
-  /// every receiver has released its drained batches (the
-  /// superstep-close barrier completion), from one thread. Throws like
-  /// a push on a permanent gateway-link fault or retry exhaustion.
+  /// merge the delivered messages in the ledger (kDedupMin: a bitmap
+  /// merge, O(staged + max_id / 64), whose output is the sorted unique
+  /// ID set; kConcat: src-ordered concatenation), charge the merge (and
+  /// the decode of payloads that travelled compressed) as gateway
+  /// kernels, re-encode once against the destination node's universe,
+  /// and charge the single inter-node transfer (fault-injected and
+  /// retried like any push, items = 0 — the items were counted once on
+  /// the staged hop); then recycle the messages into the pool. Call
+  /// exactly once per superstep, after every receiver has released its
+  /// drained batches (the superstep-close barrier completion), from
+  /// one thread. Throws like a push on a permanent gateway-link fault
+  /// or retry exhaustion.
   void flush_relays();
 
   /// Link-class split of all payload bytes ever pushed (monotone, like
@@ -511,8 +513,12 @@ class CommBus {
   std::mutex relay_mutex_;
   std::vector<std::vector<Message>> relay_;
   /// Flush-only scratch (flush runs single-threaded in the
-  /// superstep-close barrier): the merged payload being modeled.
+  /// superstep-close barrier): the merged payload being modeled, and
+  /// the kDedupMin merge's bitmap, one bit per ID in [0, max_id] of
+  /// the group being merged. Both only grow, so a warm flush never
+  /// allocates; the merge zeroes just the bitmap words it uses.
   Message relay_scratch_;
+  util::PodVector<std::uint64_t> relay_bits_;
   util::ThreadPool* host_pool_ = nullptr;
 };
 

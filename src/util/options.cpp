@@ -1,5 +1,7 @@
 #include "util/options.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -39,10 +41,13 @@ long long Options::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
   MGG_REQUIRE(end != it->second.c_str() && *end == '\0',
               "option --" + key + " expects an integer, got '" + it->second +
                   "'");
+  MGG_REQUIRE(errno != ERANGE, "option --" + key + " is out of range: '" +
+                                   it->second + "'");
   return v;
 }
 
@@ -50,10 +55,14 @@ double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
   MGG_REQUIRE(end != it->second.c_str() && *end == '\0',
               "option --" + key + " expects a number, got '" + it->second +
                   "'");
+  MGG_REQUIRE(errno != ERANGE && std::isfinite(v),
+              "option --" + key + " expects a finite number in range, got '" +
+                  it->second + "'");
   return v;
 }
 

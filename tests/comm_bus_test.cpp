@@ -1,8 +1,9 @@
 // CommBus data-path properties: exact payload round-trips at 1-8 vGPUs,
 // zero steady-state heap allocations across push -> drain -> release
 // -> flush_relays for flat and two-level topologies under raw and
-// compressed wire formats, push's fault path, and the reset()
-// lifecycle, alone and against concurrent senders.
+// compressed wire formats, the gateway merge's exact output, push's
+// fault path, and the reset() lifecycle, alone and against concurrent
+// senders.
 //
 // This file replaces the global allocator for the whole test binary
 // with a counting one, so a test can sample the counter around a warm
@@ -10,6 +11,7 @@
 // included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -216,6 +218,109 @@ TEST(CommBus, SteadyStateAllocatesNothing) {
       if (format == WireFormat::kAuto) {
         EXPECT_GT(bus.wire_stats().bytes_bitmap, 0u) << label(x, two_level);
         EXPECT_GT(bus.wire_stats().bytes_delta, 0u) << label(x, two_level);
+      }
+    }
+  }
+}
+
+/// What one run_round must add to the bus's counters with two-level on,
+/// rebuilt without the bus: every sender hop as `package` encodes it,
+/// plus one merged push per (gateway, dst, tag) group whose IDs are the
+/// node's buckets concatenated in src order — std::sort + std::unique'd
+/// under kDedupMin — re-encoded by wire::encode with the policy's
+/// format and the destination node's universe.
+struct RelayReference {
+  std::uint64_t bytes[3] = {};  ///< by applied format: raw, bitmap, delta
+  std::uint64_t inter = 0;      ///< the merged pushes' bytes
+  std::uint64_t dedup = 0;      ///< staged minus merged items
+};
+
+RelayReference reference_round(const vgpu::Machine& machine, CommBus& scratch,
+                               const Exchange& x,
+                               const core::TwoLevelPolicy& policy) {
+  RelayReference ref;
+  const vgpu::Interconnect& net = machine.interconnect();
+  const int n = machine.num_devices();
+  const auto format_index = [](WireFormat f) { return static_cast<int>(f); };
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      if (dst == src) continue;
+      for (int tag = 0; tag < 2; ++tag) {
+        Message m = x.package(scratch, src, dst, tag);
+        // A sender that is its own gateway stages in place: no bytes.
+        if (net.same_node(src, dst) || net.gateway(src, dst) != src) {
+          ref.bytes[format_index(m.encoding)] += m.payload_bytes();
+        }
+        scratch.release(std::move(m));
+      }
+    }
+  }
+  const int node_size = net.node_size();
+  for (int dst = 0; dst < n; ++dst) {
+    for (int tag = 0; tag < 2; ++tag) {
+      for (int node_base = 0; node_base < n; node_base += node_size) {
+        if (net.same_node(node_base, dst)) continue;
+        std::vector<VertexT> ids;
+        for (int src = node_base; src < node_base + node_size; ++src) {
+          x.for_each(src, dst, tag, [&](VertexT v) { ids.push_back(v); });
+        }
+        const std::size_t staged = ids.size();
+        if (policy.combine == core::TwoLevelPolicy::Combine::kDedupMin) {
+          std::sort(ids.begin(), ids.end());
+          ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        }
+        ref.dedup += staged - ids.size();
+        Message merged;
+        merged.set_layout(1, 1, ids.size());
+        std::copy(ids.begin(), ids.end(), merged.vertices.begin());
+        const WireFormat applied = core::wire::encode(
+            merged, policy.wire_format, policy.density_threshold,
+            policy.node_universe[dst]);
+        ref.bytes[format_index(applied)] += merged.payload_bytes();
+        ref.inter += merged.payload_bytes();
+      }
+    }
+  }
+  return ref;
+}
+
+TEST(CommBus, GatewayMergeMatchesSortedUniqueUnion) {
+  // The existing tests only see that the merge deduplicates something;
+  // this pins its exact output. Exchange IDs run past the node universe
+  // (1535 vs 768), tag 0 buckets ascend, tag 1 buckets descend, and the
+  // senders' buckets overlap.
+  using Combine = core::TwoLevelPolicy::Combine;
+  for (const Combine combine : {Combine::kDedupMin, Combine::kConcat}) {
+    for (const WireFormat format : {WireFormat::kRawIds, WireFormat::kAuto}) {
+      auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
+      const Exchange x{machine.num_devices(), format};
+      core::TwoLevelPolicy policy = x.two_level(machine);
+      policy.combine = combine;
+      const std::string where =
+          label(x, true) +
+          (combine == Combine::kDedupMin ? ", dedup-min" : ", concat");
+      CommBus scratch(machine);
+      const RelayReference ref = reference_round(machine, scratch, x, policy);
+      CommBus bus(machine);
+      bus.set_two_level(policy);
+      const core::WireStats before = bus.wire_stats();
+      const std::uint64_t inter_before = bus.link_bytes().inter;
+      const std::uint64_t dedup_before = bus.gateway_dedup_items();
+      Tally tally;
+      run_round(machine, bus, x, tally);
+      const core::WireStats after = bus.wire_stats();
+      EXPECT_EQ(tally.mismatches, 0u) << where;
+      EXPECT_EQ(bus.gateway_dedup_items() - dedup_before, ref.dedup) << where;
+      EXPECT_EQ(bus.link_bytes().inter - inter_before, ref.inter) << where;
+      EXPECT_EQ(after.bytes_raw - before.bytes_raw, ref.bytes[0]) << where;
+      EXPECT_EQ(after.bytes_bitmap - before.bytes_bitmap, ref.bytes[1])
+          << where;
+      EXPECT_EQ(after.bytes_delta - before.bytes_delta, ref.bytes[2])
+          << where;
+      if (combine == Combine::kConcat) {
+        EXPECT_EQ(ref.dedup, 0u) << where;
+      } else {
+        EXPECT_GT(ref.dedup, 0u) << where;
       }
     }
   }

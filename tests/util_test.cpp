@@ -302,6 +302,29 @@ TEST(Options, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n=abc"};
   util::Options o(2, const_cast<char**>(argv));
   EXPECT_THROW(o.get_int("n", 0), Error);
+
+  // Out-of-range and non-finite values are rejected as invalid
+  // arguments naming the option, not clamped or passed through.
+  const char* range_argv[] = {"prog",     "--seed=99999999999999999999",
+                              "--gpus=-99999999999999999999",
+                              "--huge=1e999", "--inf=inf", "--nan=nan"};
+  util::Options r(6, const_cast<char**>(range_argv));
+  const auto expect_rejected = [](const auto& get, const std::string& key) {
+    try {
+      get();
+      ADD_FAILURE() << "--" << key << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::kInvalidArgument) << e.what();
+      EXPECT_NE(std::string(e.what()).find("--" + key), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::string key : {"seed", "gpus"}) {
+    expect_rejected([&] { return r.get_int(key, 0); }, key);
+  }
+  for (const std::string key : {"huge", "inf", "nan"}) {
+    expect_rejected([&] { return r.get_double(key, 0); }, key);
+  }
 }
 
 TEST(Options, CheckUnknownAcceptsKnownKeys) {

@@ -12,6 +12,8 @@
 // paths must survive.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
+#include "util/random.hpp"
 #include "vgpu/cost.hpp"
 
 namespace mgg {
@@ -429,6 +432,98 @@ TEST(WireFormat, DecodeRejectsCorruptPayloads) {
             WireFormat::kBitmap);
   bm.wire[8] ^= 0xFF;  // flip 8 bits of the first word
   EXPECT_THROW(core::wire::decode(bm), Error);
+
+  // Hand-built varint payloads: [varint n][zigzag delta varints].
+  const auto varint_payload = [](std::size_t n,
+                                 std::vector<std::uint8_t> bytes) {
+    Message m;
+    m.encoding = WireFormat::kDeltaVarint;
+    m.wire_items = n;
+    m.wire.assign(bytes.begin(), bytes.end());
+    return m;
+  };
+  // A 10-byte code whose last byte carries bits past bit 63 (read as
+  // vertex 6 if those bits are silently dropped).
+  Message overlong = varint_payload(
+      1, {0x01, 0x8C, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7E});
+  EXPECT_THROW(core::wire::decode(overlong), Error);
+  // A delta of INT64_MAX after vertex 5: the running sum must be
+  // range-checked before it is formed, not after it overflows.
+  Message overflow = varint_payload(
+      2, {0x02, 0x0A, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+          0x01});
+  EXPECT_THROW(core::wire::decode(overflow), Error);
+}
+
+TEST(WireFormat, DecodeSurvivesSeededMutations) {
+  // Mutation fuzzing of wire::decode: valid bitmap and varint encodings,
+  // each damaged by one byte flip, truncation, appended bytes or a
+  // wire_items +-1 edit. Decode must return exactly wire_items vertices
+  // or reject the payload with a typed Error; the sanitizer builds also
+  // catch any out-of-bounds read or UB on the way.
+  constexpr std::uint64_t kSeeds = 1000;  // x 4 mutations each
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    util::Rng rng(seed);
+    const bool bitmap = rng.next_bool(0.5);
+    std::vector<VertexT> ids(16 + rng.next_below(200));
+    if (bitmap) {
+      // Ascending and dense enough that the bitmap pays.
+      VertexT v = static_cast<VertexT>(rng.next_below(64));
+      for (auto& id : ids) {
+        id = v;
+        v += 1 + static_cast<VertexT>(rng.next_below(3));
+      }
+    } else {
+      // Unordered IDs in a 2^14 window, anywhere below the VertexT
+      // limit, so damaged deltas can leave the range at either end.
+      const VertexT base = static_cast<VertexT>(
+          rng.next_below(std::numeric_limits<VertexT>::max() - (1u << 14)));
+      for (auto& id : ids) {
+        id = base + static_cast<VertexT>(rng.next_below(1u << 14));
+      }
+    }
+    Message valid = make_msg(ids);
+    const WireFormat want =
+        bitmap ? WireFormat::kBitmap : WireFormat::kDeltaVarint;
+    ASSERT_EQ(core::wire::encode(valid, want, 1.0 / 16, 1u << 20), want)
+        << "seed " << seed;
+    for (int mutation = 0; mutation < 4; ++mutation) {
+      Message m;
+      m.encoding = valid.encoding;
+      m.wire = valid.wire;
+      m.wire_items = valid.wire_items;
+      const std::size_t size = m.wire.size();
+      switch (mutation) {
+        case 0:  // flip some bits of one byte
+          m.wire[rng.next_below(size)] ^=
+              static_cast<std::uint8_t>(1 + rng.next_below(255));
+          break;
+        case 1:  // truncate
+          m.wire.resize(rng.next_below(size));
+          break;
+        case 2:  // append 1-16 bytes
+          for (std::uint64_t k = 1 + rng.next_below(16); k > 0; --k) {
+            m.wire.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+          }
+          break;
+        default:  // the item count no longer matches the payload
+          m.wire_items = rng.next_bool(0.5) ? m.wire_items + 1
+                                            : m.wire_items - 1;
+          break;
+      }
+      const std::size_t items = m.wire_items;
+      try {
+        core::wire::decode(m);
+        EXPECT_EQ(m.vertices.size(), items)
+            << "seed " << seed << ", mutation " << mutation;
+      } catch (const Error&) {
+        // A typed rejection is the other allowed outcome.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "seed " << seed << ", mutation " << mutation
+                      << ": untyped exception: " << e.what();
+      }
+    }
+  }
 }
 
 TEST(WireFormat, PooledMessagesRecycleWireState) {
