@@ -579,44 +579,36 @@ void CommBus::flush_relays() {
            ++j) {
         staged_items += staged[j].vertices.size();
       }
-      if (two_level_.combine == TwoLevelPolicy::Combine::kDedupMin) {
-        // The surviving key set of the (src, tag)-ordered min-combine
-        // is exactly the sorted unique set. A bitmap over [0, max_id]
-        // yields it in O(staged + max_id / 64) — one bit per staged
-        // ID, set bits read out ascending — so the bitmap re-encode is
-        // admissible when the density pays. Sized from the IDs
-        // themselves: the node universe does not bound them.
-        VertexT max_id = 0;
-        for (std::size_t k = i; k < j; ++k) {
-          for (const VertexT v : staged[k].vertices) {
-            max_id = std::max(max_id, v);
-          }
-        }
-        const std::size_t n_words = static_cast<std::size_t>(max_id) / 64 + 1;
-        if (relay_bits_.size() < n_words) relay_bits_.resize(n_words);
-        std::fill_n(relay_bits_.begin(), n_words, std::uint64_t{0});
-        for (std::size_t k = i; k < j; ++k) {
-          for (const VertexT v : staged[k].vertices) {
-            relay_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
-          }
-        }
-        merged.vertices.resize(staged_items);
-        std::size_t out = 0;
-        for (std::size_t w = 0; w < n_words; ++w) {
-          for (std::uint64_t word = relay_bits_[w]; word != 0;
-               word &= word - 1) {
-            merged.vertices[out++] =
-                static_cast<VertexT>(w * 64 + std::countr_zero(word));
-          }
-        }
-        merged.vertices.resize(out);
-      } else {
-        for (std::size_t k = i; k < j; ++k) {
-          merged.vertices.insert(merged.vertices.end(),
-                                 staged[k].vertices.begin(),
-                                 staged[k].vertices.end());
+      // The surviving key set of the (src, tag)-ordered min-combine
+      // is exactly the sorted unique set. A bitmap over [0, max_id]
+      // yields it in O(staged + max_id / 64) — one bit per staged
+      // ID, set bits read out ascending — so the bitmap re-encode is
+      // admissible when the density pays. Sized from the IDs
+      // themselves: the node universe does not bound them.
+      VertexT max_id = 0;
+      for (std::size_t k = i; k < j; ++k) {
+        for (const VertexT v : staged[k].vertices) {
+          max_id = std::max(max_id, v);
         }
       }
+      const std::size_t n_words = static_cast<std::size_t>(max_id) / 64 + 1;
+      if (relay_bits_.size() < n_words) relay_bits_.resize(n_words);
+      std::fill_n(relay_bits_.begin(), n_words, std::uint64_t{0});
+      for (std::size_t k = i; k < j; ++k) {
+        for (const VertexT v : staged[k].vertices) {
+          relay_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+        }
+      }
+      merged.vertices.resize(staged_items);
+      std::size_t out = 0;
+      for (std::size_t w = 0; w < n_words; ++w) {
+        for (std::uint64_t word = relay_bits_[w]; word != 0;
+             word &= word - 1) {
+          merged.vertices[out++] =
+              static_cast<VertexT>(w * 64 + std::countr_zero(word));
+        }
+      }
+      merged.vertices.resize(out);
       const std::size_t merged_n = merged.vertices.size();
       gateway_merges_.fetch_add(1, std::memory_order_relaxed);
       gateway_dedup_items_.fetch_add(staged_items - merged_n,

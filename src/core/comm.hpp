@@ -277,18 +277,6 @@ struct WireStats {
 /// flat path.
 struct TwoLevelPolicy {
   bool enabled = false;
-  /// How the gateway merges the node's staged buckets before the
-  /// inter-node hop. kDedupMin models the real relay: duplicate vertex
-  /// IDs collapse to one entry whose associates are combined in the
-  /// deterministic tag-sorted (src_gpu, tag) order (first-writer /
-  /// min / sum / OR — whatever the receiving primitive's per-vertex
-  /// combine is), so the merged payload is exactly what a receiver
-  /// combining the parts would have produced. kConcat opts out for a
-  /// primitive whose cross-sender payloads cannot be combined at a
-  /// relay: buckets concatenate in src order and only the re-encode
-  /// saves bytes.
-  enum class Combine { kDedupMin, kConcat };
-  Combine combine = Combine::kDedupMin;
   /// Wire format for the gateway's single inter-node push (the
   /// re-encode); usually Config::wire_format.
   WireFormat wire_format = WireFormat::kRawIds;
@@ -418,10 +406,11 @@ class CommBus {
 
   /// Realize the gateways' modeled work for the staged cross-node
   /// pushes of the closing superstep: per (gateway, destination, tag),
-  /// merge the delivered messages in the ledger (kDedupMin: a bitmap
-  /// merge, O(staged + max_id / 64), whose output is the sorted unique
-  /// ID set; kConcat: src-ordered concatenation), charge the merge (and
-  /// the decode of payloads that travelled compressed) as gateway
+  /// merge the delivered messages in the ledger into their sorted
+  /// unique ID set (a bitmap merge, O(staged + max_id / 64); every
+  /// receiver's per-vertex combine — first-writer / min / sum / OR —
+  /// reduces duplicate IDs to one entry), charge the merge (and the
+  /// decode of payloads that travelled compressed) as gateway
   /// kernels, re-encode once against the destination node's universe,
   /// and charge the single inter-node transfer (fault-injected and
   /// retried like any push, items = 0 — the items were counted once on
@@ -514,7 +503,7 @@ class CommBus {
   std::vector<std::vector<Message>> relay_;
   /// Flush-only scratch (flush runs single-threaded in the
   /// superstep-close barrier): the merged payload being modeled, and
-  /// the kDedupMin merge's bitmap, one bit per ID in [0, max_id] of
+  /// the merge's bitmap, one bit per ID in [0, max_id] of
   /// the group being merged. Both only grow, so a warm flush never
   /// allocates; the merge zeroes just the bitmap words it uses.
   Message relay_scratch_;

@@ -18,10 +18,10 @@
 //     the edge work is accumulated during the traversal itself.
 //
 //   split (fixed, max): the classic two-kernel pipeline — advance
-//     expands all neighbors into an intermediate buffer sized by the
-//     allocation scheme (this one still takes the degree-sum sizing
-//     pass), then filter compacts it. This is what Fig. 3 measures
-//     against.
+//     materializes every (src, edge) candidate into an intermediate
+//     buffer sized exactly by a degree scan (degree_scan_into), then
+//     filter applies the functor and compacts the survivors. This is
+//     what Fig. 3 measures against.
 //
 // Orthogonally, when OpContext::dense_threshold is enabled and the
 // input frontier covers more than that fraction of |V_i|, the advance
@@ -36,23 +36,33 @@
 // vertices so a vertex can stop scanning edges as soon as it finds a
 // valid parent ("edge skipping").
 //
+// Every pipeline's edge loop is a scan over a range of its input units
+// (dense bitmap words, fused frontier slots, split candidates) that one
+// scheduler, detail::two_phase, runs either whole (the sequential loop)
+// or per chunk. The sparse pipelines share one commit tail,
+// detail::finish_sparse.
+//
 // Host parallelism (docs/architecture.md §12): when OpContext::pool is
-// set, the advance pipelines run on the shared util::ThreadPool as a
-// two-phase schedule — a parallel phase over fixed, thread-count-
-// independent chunks evaluates a pure per-edge *test* and logs the
-// surviving candidates into cache-line-aligned per-chunk buffers, then
-// a sequential phase replays the original functor over the
-// concatenated logs in chunk order. Because a failed test implies the
-// functor would have been a side-effect-free `false`, the replay *is*
-// the historical sequential loop over the same edges: output
-// frontiers, dedup decisions, W counters, and every floating-point
-// accumulation are bit-identical to the sequential pipeline at every
-// --host-threads value. add_kernel_cost still charges the same work
-// regardless of worker count — the pool only changes wall-clock time.
+// set, the (test, op) advance_filter form runs that walk as a two-phase
+// schedule — a parallel phase over fixed, thread-count-independent
+// chunks evaluates a pure per-edge *test* and logs the surviving
+// candidates into cache-line-aligned per-chunk buffers, then a
+// sequential phase replays the original functor over the concatenated
+// logs in chunk order. Because a failed test implies the functor would
+// have been a side-effect-free `false`, the replay *is* the sequential
+// loop over the same edges: output frontiers, dedup decisions, W
+// counters, and every floating-point accumulation are bit-identical to
+// the sequential pipeline at every --host-threads value. The bare
+// advance_filter(ctx, op) form always runs the sequential walk.
+// add_kernel_cost charges the same work regardless of worker count —
+// the pool only changes wall-clock time.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -74,24 +84,22 @@ namespace mgg::core {
 /// the PodVectors keep their high-water capacity, so the steady-state
 /// parallel pipeline performs zero heap allocations.
 struct alignas(64) AdvanceChunk {
-  /// One logged candidate of the generic two-phase advance.
+  /// One logged candidate of the two-phase advance.
   struct Rec {
     VertexT src;
     VertexT dst;
     SizeT e;
   };
-  util::PodVector<Rec> recs;       ///< candidate log (test+functor form)
-  util::PodVector<VertexT> verts;  ///< dsts (value form) / pull emissions
-  util::PodVector<double> values;  ///< value log; floats stored exactly
+  util::PodVector<Rec> recs;       ///< two-phase advance candidate log
+  util::PodVector<VertexT> verts;  ///< pull emissions / BC backward targets
+  util::PodVector<double> values;  ///< BC backward delta contributions
   std::uint64_t work = 0;          ///< edges this chunk traversed
-  SizeT produced = 0;
 
   void reset() {
     recs.clear();
     verts.clear();
     values.clear();
     work = 0;
-    produced = 0;
   }
   std::size_t capacity_bytes() const {
     return recs.capacity() * sizeof(Rec) + verts.capacity() * sizeof(VertexT) +
@@ -169,17 +177,6 @@ inline std::vector<AdvanceChunk>& ensure_chunks(OpContext& ctx,
   return ctx.par_chunks;
 }
 
-/// Sum of out-degrees over the input frontier: the exact advance
-/// output bound. The split pipeline still runs this as its sizing pass
-/// (it must materialize every candidate); the fused pipeline no longer
-/// needs it — its output is capped at |V_i| by the dedup mask and the
-/// edge work is accumulated during the single traversal.
-inline SizeT degree_sum(const graph::Graph& g, std::span<const VertexT> in) {
-  SizeT total = 0;
-  for (const VertexT v : in) total += g.degree(v);
-  return total;
-}
-
 /// Imbalance factor of this advance under the context's policy: 1.0
 /// for the edge-balanced mapping; max/mean worker load otherwise. The
 /// scan/chunk temporaries live in the context's scratch.
@@ -214,38 +211,6 @@ inline double advance_imbalance_dense(OpContext& ctx) {
   return chunk_imbalance(ctx.lb_chunks);
 }
 
-/// Dense advance: iterate set bits, apply the functor per edge, mark
-/// emissions in the output bitmap with plain bit-ors. No test_and_set
-/// atomics (the bitmap absorbs duplicates) and no compaction pass.
-template <typename EdgeOp>
-SizeT advance_filter_dense(OpContext& ctx, EdgeOp& op) {
-  const graph::Graph& g = *ctx.g;
-  Frontier& frontier = *ctx.frontier;
-  std::uint64_t* out = frontier.dense_output();
-  SizeT work = 0;
-  SizeT produced = 0;
-  frontier.for_each_input([&](VertexT src) {
-    const auto [begin, end] = g.edge_range(src);
-    work += end - begin;
-    for (SizeT e = begin; e < end; ++e) {
-      const VertexT dst = g.col_indices[e];
-      if (op(src, dst, e)) {
-        std::uint64_t& word = out[dst >> 6];
-        const std::uint64_t bit = 1ULL << (dst & 63);
-        if ((word & bit) == 0) {
-          word |= bit;
-          ++produced;
-        }
-      }
-    }
-  });
-  frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(work, frontier.input_size(), 1,
-                              advance_imbalance_dense(ctx),
-                              "advance_dense");
-  return produced;
-}
-
 /// The dense-vs-sparse representation decision shared by every advance
 /// entry point (the push-side analog of DOBFS's direction switch): go
 /// dense when the frontier covers enough of |V_i|, fall back to sparse
@@ -268,69 +233,6 @@ inline bool prepare_advance(OpContext& ctx) {
   }
   frontier.note_advance_mode(frontier.input_dense());
   return frontier.input_dense();
-}
-
-/// Two-phase parallel dense advance. Phase 1 chunks the input bitmap
-/// by fixed word ranges and logs every candidate passing `test`;
-/// phase 2 replays `op` over the logs in chunk order — ascending
-/// vertex order, i.e. exactly the sequential bitmap walk. Falls back
-/// to the sequential kernel for small inputs or without a pool (same
-/// results either way).
-template <typename TestOp, typename EdgeOp>
-SizeT advance_filter_dense_two_phase(OpContext& ctx, TestOp& test,
-                                     EdgeOp& op) {
-  const graph::Graph& g = *ctx.g;
-  Frontier& frontier = *ctx.frontier;
-  const SizeT n_words = frontier.mask_words();
-  const std::size_t n_chunks =
-      util::ThreadPool::chunk_count(n_words, kWordGrain);
-  if (ctx.pool == nullptr || n_chunks == 1) {
-    return advance_filter_dense(ctx, op);
-  }
-  const std::uint64_t* in_words = frontier.input_words();
-  std::uint64_t* out = frontier.dense_output();
-  auto& chunks = ensure_chunks(ctx, n_chunks);
-  ctx.pool->run_chunks(n_chunks, [&](std::size_t c) {
-    AdvanceChunk& ch = chunks[c];
-    const std::size_t wb =
-        util::ThreadPool::chunk_begin(n_words, n_chunks, c);
-    const std::size_t we =
-        util::ThreadPool::chunk_begin(n_words, n_chunks, c + 1);
-    for (std::size_t w = wb; w < we; ++w) {
-      std::uint64_t bits = in_words[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const VertexT src = static_cast<VertexT>((w << 6) + b);
-        const auto [begin, end] = g.edge_range(src);
-        ch.work += end - begin;
-        for (SizeT e = begin; e < end; ++e) {
-          const VertexT dst = g.col_indices[e];
-          if (test(src, dst, e)) ch.recs.push_back({src, dst, e});
-        }
-      }
-    }
-  });
-  SizeT work = 0;
-  SizeT produced = 0;
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const AdvanceChunk& ch = chunks[c];
-    work += static_cast<SizeT>(ch.work);
-    for (const AdvanceChunk::Rec& r : ch.recs) {
-      if (op(r.src, r.dst, r.e)) {
-        std::uint64_t& word = out[r.dst >> 6];
-        const std::uint64_t bit = 1ULL << (r.dst & 63);
-        if ((word & bit) == 0) {
-          word |= bit;
-          ++produced;
-        }
-      }
-    }
-  }
-  frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(work, frontier.input_size(), 1,
-                              advance_imbalance_dense(ctx), "advance_dense");
-  return produced;
 }
 
 /// Split-pipeline advance kernel: materialize every (src, edge)
@@ -367,6 +269,175 @@ inline SizeT split_materialize(OpContext& ctx,
   return work;
 }
 
+/// Calls visit(src, dst, edge) over src's out-edges in CSR order and
+/// returns its degree (the edge work).
+template <typename Visit>
+SizeT walk_edges(const graph::Graph& g, VertexT src, Visit& visit) {
+  const auto [begin, end] = g.edge_range(src);
+  for (SizeT e = begin; e < end; ++e) visit(src, g.col_indices[e], e);
+  return end - begin;
+}
+
+/// The one scheduler behind every advance pipeline. The pipeline's loop
+/// is `scan(first, last, visit)`: it walks input units [first, last)
+/// (bitmap words, frontier slots or split candidates) in the sequential
+/// order, calls visit(src, dst, edge) per candidate edge and returns
+/// the edge work.
+///
+/// Without a test (the bare advance_filter form), without a pool, or
+/// when the fixed `grain` plan has one chunk, this is the sequential
+/// loop: op per edge, emit(dst) when it returns true. Otherwise a
+/// parallel phase scans each chunk, logging the edges that pass `test`,
+/// and op replays over the logs in chunk order — the sequential loop
+/// over every edge whose op call was not a no-op. emit sees the same
+/// sequence and the returned work is the same either way.
+template <typename TestOp, typename EdgeOp, typename Scan, typename Emit>
+SizeT two_phase(OpContext& ctx, std::size_t units, std::size_t grain,
+                const TestOp& test, EdgeOp& op, Scan&& scan, Emit&& emit) {
+  if constexpr (!std::is_null_pointer_v<TestOp>) {
+    const std::size_t n_chunks = util::ThreadPool::chunk_count(units, grain);
+    if (ctx.pool != nullptr && n_chunks > 1) {
+      auto& chunks = ensure_chunks(ctx, n_chunks);
+      ctx.pool->run_chunks(n_chunks, [&](std::size_t c) {
+        AdvanceChunk& ch = chunks[c];
+        ch.work = scan(util::ThreadPool::chunk_begin(units, n_chunks, c),
+                       util::ThreadPool::chunk_begin(units, n_chunks, c + 1),
+                       [&](VertexT src, VertexT dst, SizeT e) {
+                         if (test(src, dst, e)) {
+                           ch.recs.push_back({src, dst, e});
+                         }
+                       });
+      });
+      SizeT work = 0;
+      for (std::size_t c = 0; c < n_chunks; ++c) {
+        work += static_cast<SizeT>(chunks[c].work);
+        for (const AdvanceChunk::Rec& r : chunks[c].recs) {
+          if (op(r.src, r.dst, r.e)) emit(r.dst);
+        }
+      }
+      return work;
+    }
+  }
+  return scan(0, units, [&](VertexT src, VertexT dst, SizeT e) {
+    if (op(src, dst, e)) emit(dst);
+  });
+}
+
+/// Commit tail of the sparse pipelines: reset only the dedup bits this
+/// launch set (so clearing costs O(output)), commit, charge the kernel.
+inline SizeT finish_sparse(OpContext& ctx, const VertexT* out,
+                           SizeT produced, SizeT work, std::size_t items,
+                           double imbalance, const char* kernel) {
+  for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
+  ctx.frontier->commit_output(produced);
+  ctx.device->add_kernel_cost(work, items, 1, imbalance, kernel);
+  return produced;
+}
+
+/// Dense advance: walk the input bitmap's set bits (ascending vertex
+/// order) and mark emissions in the output bitmap with plain bit-ors —
+/// no test_and_set atomics (the bitmap absorbs duplicates) and no
+/// compaction pass.
+template <typename TestOp, typename EdgeOp>
+SizeT advance_dense(OpContext& ctx, const TestOp& test, EdgeOp& op) {
+  const graph::Graph& g = *ctx.g;
+  Frontier& frontier = *ctx.frontier;
+  const std::uint64_t* in = frontier.input_words();
+  std::uint64_t* out = frontier.dense_output();
+  SizeT produced = 0;
+  const SizeT work = two_phase(
+      ctx, frontier.mask_words(), kWordGrain, test, op,
+      [&](std::size_t first, std::size_t last, auto&& visit) {
+        SizeT edges = 0;
+        for (std::size_t w = first; w < last; ++w) {
+          std::uint64_t bits = in[w];
+          while (bits != 0) {
+            const auto src =
+                static_cast<VertexT>((w << 6) + std::countr_zero(bits));
+            bits &= bits - 1;
+            edges += walk_edges(g, src, visit);
+          }
+        }
+        return edges;
+      },
+      [&](VertexT dst) {
+        std::uint64_t& word = out[dst >> 6];
+        const std::uint64_t bit = 1ULL << (dst & 63);
+        if ((word & bit) == 0) {
+          word |= bit;
+          ++produced;
+        }
+      });
+  frontier.commit_output(produced);
+  ctx.device->add_kernel_cost(work, frontier.input_size(), 1,
+                              advance_imbalance_dense(ctx), "advance_dense");
+  return produced;
+}
+
+/// Fused advance+filter (§VI-C): one pass over the input's edges and no
+/// sizing scan — the dedup mask caps the output at |V_i|, so the bound
+/// is known without touching an edge, and the edge work is summed as
+/// the walk goes.
+template <typename TestOp, typename EdgeOp>
+SizeT advance_fused(OpContext& ctx, std::span<const VertexT> input,
+                    const TestOp& test, EdgeOp& op) {
+  const graph::Graph& g = *ctx.g;
+  VertexT* out = ctx.frontier->request_output(g.num_vertices);
+  SizeT produced = 0;
+  const SizeT work = two_phase(
+      ctx, input.size(), kSlotGrain, test, op,
+      [&](std::size_t first, std::size_t last, auto&& visit) {
+        SizeT edges = 0;
+        for (std::size_t slot = first; slot < last; ++slot) {
+          edges += walk_edges(g, input[slot], visit);
+        }
+        return edges;
+      },
+      [&](VertexT dst) {
+        if (ctx.dedup->test_and_set(dst)) out[produced++] = dst;
+      });
+  return finish_sparse(ctx, out, produced, work, input.size(),
+                       advance_imbalance(ctx, input), "advance_filter");
+}
+
+/// Split-pipeline filter: apply op to the n_raw candidates
+/// split_materialize wrote, in buffer order, and compact the
+/// deduplicated survivors. Its work is vertex-shaped: the advance
+/// kernel already charged the edges.
+template <typename TestOp, typename EdgeOp>
+SizeT filter_candidates(OpContext& ctx, SizeT n_raw, const TestOp& test,
+                        EdgeOp& op) {
+  const graph::Graph& g = *ctx.g;
+  const util::Array1D<VertexT>& temp = *ctx.advance_temp;
+  const util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
+  VertexT* out =
+      ctx.frontier->request_output(std::min<SizeT>(n_raw, g.num_vertices));
+  SizeT produced = 0;
+  two_phase(
+      ctx, n_raw, kItemGrain, test, op,
+      [&](std::size_t first, std::size_t last, auto&& visit) {
+        for (std::size_t i = first; i < last; ++i) {
+          const SizeT e = temp_edges[i];
+          visit(temp[i], g.col_indices[e], e);
+        }
+        return SizeT{0};
+      },
+      [&](VertexT dst) {
+        if (ctx.dedup->test_and_set(dst)) out[produced++] = dst;
+      });
+  return finish_sparse(ctx, out, produced, 0, n_raw, 1.0, "filter_compact");
+}
+
+/// The kernel pick behind both advance_filter forms; `test` is nullptr
+/// for the bare form.
+template <typename TestOp, typename EdgeOp>
+SizeT advance(OpContext& ctx, const TestOp& test, EdgeOp& op) {
+  if (prepare_advance(ctx)) return advance_dense(ctx, test, op);
+  const auto input = ctx.frontier->input();
+  if (ctx.fused()) return advance_fused(ctx, input, test, op);
+  return filter_candidates(ctx, split_materialize(ctx, input), test, op);
+}
+
 }  // namespace detail
 
 /// Advance + filter: expand every edge of the input frontier, apply
@@ -385,67 +456,10 @@ inline SizeT split_materialize(OpContext& ctx,
 /// is installed: a bare functor may carry cross-edge ordering
 /// dependencies (SSSP's relaxations read distances earlier edges
 /// wrote), which only the primitive can rule out. Order-free
-/// primitives opt into host parallelism via the (test, op) and
-/// (test, value, commit) forms below.
+/// primitives opt into host parallelism via the (test, op) form below.
 template <typename EdgeOp>
 SizeT advance_filter(OpContext& ctx, EdgeOp&& op) {
-  const graph::Graph& g = *ctx.g;
-  Frontier& frontier = *ctx.frontier;
-  if (detail::prepare_advance(ctx)) {
-    return detail::advance_filter_dense(ctx, op);
-  }
-
-  const auto input = frontier.input();
-  if (ctx.fused()) {
-    // Single pass (§VI-C): no sizing scan — the dedup mask caps the
-    // output at |V_i|, so the bound is known without touching an edge,
-    // and the edge work is summed as the traversal walks the CSR.
-    VertexT* out = frontier.request_output(g.num_vertices);
-    SizeT produced = 0;
-    SizeT work = 0;
-    for (const VertexT src : input) {
-      const auto [begin, end] = g.edge_range(src);
-      work += end - begin;
-      for (SizeT e = begin; e < end; ++e) {
-        const VertexT dst = g.col_indices[e];
-        if (op(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-          out[produced++] = dst;
-        }
-      }
-    }
-    // Reset only the bits we set, so clearing costs O(output).
-    for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-    frontier.commit_output(produced);
-    ctx.device->add_kernel_cost(work, input.size(), 1,
-                                detail::advance_imbalance(ctx, input),
-                                "advance_filter");
-    return produced;
-  }
-
-  // Split pipeline: advance materializes every (src, edge) candidate
-  // into the intermediate buffer (scatter parallelized off the degree
-  // scan; identical layout at every pool width)...
-  const SizeT n_raw = detail::split_materialize(ctx, input);
-  util::Array1D<VertexT>& temp = *ctx.advance_temp;
-  util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
-
-  // ...then filter applies the functor and compacts survivors
-  // (sequential: the bare-functor ordering caveat above).
-  const SizeT bound = std::min<SizeT>(n_raw, g.num_vertices);
-  VertexT* out = frontier.request_output(bound);
-  SizeT produced = 0;
-  for (SizeT i = 0; i < n_raw; ++i) {
-    const VertexT src = temp[i];
-    const SizeT e = temp_edges[i];
-    const VertexT dst = g.col_indices[e];
-    if (op(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-      out[produced++] = dst;
-    }
-  }
-  for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-  frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(0, n_raw, 1, 1.0, "filter_compact");
-  return produced;
+  return detail::advance(ctx, nullptr, op);
 }
 
 /// Two-phase parallel advance + filter for order-free functors.
@@ -457,233 +471,19 @@ SizeT advance_filter(OpContext& ctx, EdgeOp&& op) {
 /// archetype: test = "labels[dst] still unvisited"; every edge failing
 /// it is a no-op in the sequential loop.
 ///
-/// Phase 1 walks fixed, thread-count-independent chunks of the input
-/// in parallel, summing per-chunk edge work and logging candidates
-/// that pass `test`. Phase 2 replays `op` (with the historical dedup
-/// and output writes) over the concatenated logs in chunk order —
-/// which is the original sequential loop over exactly the edges whose
-/// functor call was not a no-op. Results, W, and dedup decisions are
+/// Each pipeline (dense, fused, split filter) runs through
+/// detail::two_phase: a parallel phase over fixed, thread-count-
+/// independent chunks of its input sums the edge work and logs the
+/// candidates that pass `test`, then `op` (with the dedup and output
+/// writes) replays over the logs in chunk order — the original
+/// sequential loop over exactly the edges whose functor call was not a
+/// no-op. Results, W, dedup decisions and every floating-point
+/// accumulation `op` performs (PR's rank pushes, BC's sigma sums) are
 /// therefore bit-identical to advance_filter(ctx, op) at every pool
 /// width, including none.
 template <typename TestOp, typename EdgeOp>
 SizeT advance_filter(OpContext& ctx, TestOp&& test, EdgeOp&& op) {
-  const graph::Graph& g = *ctx.g;
-  Frontier& frontier = *ctx.frontier;
-  if (detail::prepare_advance(ctx)) {
-    return detail::advance_filter_dense_two_phase(ctx, test, op);
-  }
-
-  const auto input = frontier.input();
-  if (ctx.fused()) {
-    VertexT* out = frontier.request_output(g.num_vertices);
-    SizeT produced = 0;
-    SizeT work = 0;
-    const std::size_t n_chunks =
-        util::ThreadPool::chunk_count(input.size(), detail::kSlotGrain);
-    if (ctx.pool == nullptr || n_chunks == 1) {
-      for (const VertexT src : input) {
-        const auto [begin, end] = g.edge_range(src);
-        work += end - begin;
-        for (SizeT e = begin; e < end; ++e) {
-          const VertexT dst = g.col_indices[e];
-          if (op(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-            out[produced++] = dst;
-          }
-        }
-      }
-    } else {
-      auto& chunks = detail::ensure_chunks(ctx, n_chunks);
-      ctx.pool->run_chunks(n_chunks, [&](std::size_t c) {
-        AdvanceChunk& ch = chunks[c];
-        const std::size_t b =
-            util::ThreadPool::chunk_begin(input.size(), n_chunks, c);
-        const std::size_t last =
-            util::ThreadPool::chunk_begin(input.size(), n_chunks, c + 1);
-        for (std::size_t slot = b; slot < last; ++slot) {
-          const VertexT src = input[slot];
-          const auto [begin, end] = g.edge_range(src);
-          ch.work += end - begin;
-          for (SizeT e = begin; e < end; ++e) {
-            const VertexT dst = g.col_indices[e];
-            if (test(src, dst, e)) ch.recs.push_back({src, dst, e});
-          }
-        }
-      });
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const AdvanceChunk& ch = chunks[c];
-        work += static_cast<SizeT>(ch.work);
-        for (const AdvanceChunk::Rec& r : ch.recs) {
-          if (op(r.src, r.dst, r.e) && ctx.dedup->test_and_set(r.dst)) {
-            out[produced++] = r.dst;
-          }
-        }
-      }
-    }
-    for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-    frontier.commit_output(produced);
-    ctx.device->add_kernel_cost(work, input.size(), 1,
-                                detail::advance_imbalance(ctx, input),
-                                "advance_filter");
-    return produced;
-  }
-
-  // Split pipeline: parallel materialize, then a two-phase filter over
-  // the intermediate buffer (fixed chunks over the candidate array).
-  const SizeT n_raw = detail::split_materialize(ctx, input);
-  util::Array1D<VertexT>& temp = *ctx.advance_temp;
-  util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
-  const SizeT bound = std::min<SizeT>(n_raw, g.num_vertices);
-  VertexT* out = frontier.request_output(bound);
-  SizeT produced = 0;
-  const std::size_t n_chunks =
-      util::ThreadPool::chunk_count(n_raw, detail::kItemGrain);
-  if (ctx.pool == nullptr || n_chunks == 1) {
-    for (SizeT i = 0; i < n_raw; ++i) {
-      const VertexT src = temp[i];
-      const SizeT e = temp_edges[i];
-      const VertexT dst = g.col_indices[e];
-      if (op(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-        out[produced++] = dst;
-      }
-    }
-  } else {
-    auto& chunks = detail::ensure_chunks(ctx, n_chunks);
-    ctx.pool->run_chunks(n_chunks, [&](std::size_t c) {
-      AdvanceChunk& ch = chunks[c];
-      const std::size_t b =
-          util::ThreadPool::chunk_begin(n_raw, n_chunks, c);
-      const std::size_t last =
-          util::ThreadPool::chunk_begin(n_raw, n_chunks, c + 1);
-      for (std::size_t i = b; i < last; ++i) {
-        const VertexT src = temp[i];
-        const SizeT e = temp_edges[i];
-        const VertexT dst = g.col_indices[e];
-        if (test(src, dst, e)) ch.recs.push_back({src, dst, e});
-      }
-    });
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      for (const AdvanceChunk::Rec& r : chunks[c].recs) {
-        if (op(r.src, r.dst, r.e) && ctx.dedup->test_and_set(r.dst)) {
-          out[produced++] = r.dst;
-        }
-      }
-    }
-  }
-  for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-  frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(0, n_raw, 1, 1.0, "filter_compact");
-  return produced;
-}
-
-/// Two-phase parallel advance whose replayed commit consumes a value
-/// computed during the parallel phase — the "fixed per-chunk partials
-/// reduced in chunk order" form for floating-point accumulations
-/// (PageRank rank pushes, BC sigma partials).
-///
-/// Contract: `test` as in the (test, op) form; `value(src, dst, e)`
-/// reads only state that is stable for the whole advance (PR's ranks
-/// are finalized before the push, BC's sigmas before the level
-/// expansion); `commit(dst, v)` performs the mutation + "emit dst?"
-/// decision and must equal the original functor with v inlined.
-/// Phase 2 replays commit over the logs in chunk order, so the
-/// floating-point accumulation order is exactly the sequential loop's
-/// — bit-identical results at every pool width. Values round-trip
-/// through double, which is exact for float and double payloads.
-template <typename TestOp, typename ValueOp, typename CommitOp>
-SizeT advance_filter_values(OpContext& ctx, TestOp&& test, ValueOp&& value,
-                            CommitOp&& commit) {
-  const graph::Graph& g = *ctx.g;
-  Frontier& frontier = *ctx.frontier;
-  using Val = std::decay_t<decltype(value(VertexT{}, VertexT{}, SizeT{}))>;
-  auto op_equiv = [&](VertexT src, VertexT dst, SizeT e) {
-    return commit(dst, value(src, dst, e));
-  };
-  if (detail::prepare_advance(ctx)) {
-    // Dense frontiers fall back to the sequential bitmap kernel (the
-    // value-log variant exists for FP exactness, which the sequential
-    // walk has by construction; same code at every width).
-    return detail::advance_filter_dense(ctx, op_equiv);
-  }
-
-  const auto input = frontier.input();
-  if (!ctx.fused()) {
-    // Split pipeline: parallel materialize; the filter replays the
-    // equivalent functor sequentially (consistent at every width).
-    const SizeT n_raw = detail::split_materialize(ctx, input);
-    util::Array1D<VertexT>& temp = *ctx.advance_temp;
-    util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
-    const SizeT bound = std::min<SizeT>(n_raw, g.num_vertices);
-    VertexT* out = frontier.request_output(bound);
-    SizeT produced = 0;
-    for (SizeT i = 0; i < n_raw; ++i) {
-      const VertexT src = temp[i];
-      const SizeT e = temp_edges[i];
-      const VertexT dst = g.col_indices[e];
-      if (op_equiv(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-        out[produced++] = dst;
-      }
-    }
-    for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-    frontier.commit_output(produced);
-    ctx.device->add_kernel_cost(0, n_raw, 1, 1.0, "filter_compact");
-    return produced;
-  }
-
-  VertexT* out = frontier.request_output(g.num_vertices);
-  SizeT produced = 0;
-  SizeT work = 0;
-  const std::size_t n_chunks =
-      util::ThreadPool::chunk_count(input.size(), detail::kSlotGrain);
-  if (ctx.pool == nullptr || n_chunks == 1) {
-    for (const VertexT src : input) {
-      const auto [begin, end] = g.edge_range(src);
-      work += end - begin;
-      for (SizeT e = begin; e < end; ++e) {
-        const VertexT dst = g.col_indices[e];
-        if (op_equiv(src, dst, e) && ctx.dedup->test_and_set(dst)) {
-          out[produced++] = dst;
-        }
-      }
-    }
-  } else {
-    auto& chunks = detail::ensure_chunks(ctx, n_chunks);
-    ctx.pool->run_chunks(n_chunks, [&](std::size_t c) {
-      AdvanceChunk& ch = chunks[c];
-      const std::size_t b =
-          util::ThreadPool::chunk_begin(input.size(), n_chunks, c);
-      const std::size_t last =
-          util::ThreadPool::chunk_begin(input.size(), n_chunks, c + 1);
-      for (std::size_t slot = b; slot < last; ++slot) {
-        const VertexT src = input[slot];
-        const auto [begin, end] = g.edge_range(src);
-        ch.work += end - begin;
-        for (SizeT e = begin; e < end; ++e) {
-          const VertexT dst = g.col_indices[e];
-          if (test(src, dst, e)) {
-            ch.verts.push_back(dst);
-            ch.values.push_back(static_cast<double>(value(src, dst, e)));
-          }
-        }
-      }
-    });
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const AdvanceChunk& ch = chunks[c];
-      work += static_cast<SizeT>(ch.work);
-      for (std::size_t i = 0; i < ch.verts.size(); ++i) {
-        const VertexT dst = ch.verts[i];
-        if (commit(dst, static_cast<Val>(ch.values[i])) &&
-            ctx.dedup->test_and_set(dst)) {
-          out[produced++] = dst;
-        }
-      }
-    }
-  }
-  for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
-  frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(work, input.size(), 1,
-                              detail::advance_imbalance(ctx, input),
-                              "advance_filter");
-  return produced;
+  return detail::advance(ctx, test, op);
 }
 
 /// Per-vertex pull advance (§VI-A). For each candidate vertex, scan its

@@ -90,28 +90,24 @@ void BcEnactor::core_forward(Slice& s) {
   for (const VertexT v : lvl) d.sigma[v] = d.sigma_acc[v];
   s.device->add_kernel_cost(0, input.size(), 1, 1.0, "bc_level");
 
-  // (test, value, commit) form: sigma for this level's sources was
-  // finalized just above and is not written by the advance, so each
-  // edge's contribution is computable in the parallel phase. The test
-  // covers both live cases (undiscovered, or discovered *by this
-  // advance* at next_level — the latter is always false against the
-  // pre-advance depths, but every edge that matters passes the
-  // undiscovered test then). The commit replay accumulates sigma_acc
-  // in the original sequential edge order.
-  core::advance_filter_values(
+  // (test, op) form: the test covers both live cases (undiscovered, or
+  // discovered *by this advance* at next_level — the latter is always
+  // false against the pre-advance depths, but every edge that matters
+  // passes the undiscovered test then). The op replay accumulates
+  // sigma_acc in the original sequential edge order.
+  core::advance_filter(
       s.ctx,
       [&](VertexT, VertexT v, SizeT) {
         return d.depth[v] == kInvalidVertex || d.depth[v] == next_level;
       },
-      [&](VertexT u, VertexT, SizeT) { return d.sigma[u]; },
-      [&](VertexT v, double sigma_u) {
+      [&](VertexT u, VertexT v, SizeT) {
         if (d.depth[v] == kInvalidVertex) {
           d.depth[v] = next_level;
-          d.sigma_acc[v] += sigma_u;
+          d.sigma_acc[v] += d.sigma[u];
           return true;
         }
         if (d.depth[v] == next_level) {
-          d.sigma_acc[v] += sigma_u;  // another shortest path
+          d.sigma_acc[v] += d.sigma[u];  // another shortest path
         }
         return false;
       });

@@ -70,18 +70,13 @@ void PagerankEnactor::iteration_core(Slice& s) {
   // out-neighbors. Emits nothing — PR's frontier is the full hosted
   // set every iteration (Table I: W = S x O(|E_i|)).
   //
-  // (test, value, commit) form: ranks are finalized before the push,
-  // so the contribution of each edge is computable in the parallel
-  // phase, and the commit replay folds them into acc in the original
-  // sequential edge order — the accumulation stays bit-identical at
-  // every --host-threads value.
-  core::advance_filter_values(
+  // (test, op) form: every edge is a candidate, and the op replay folds
+  // the contributions into acc in the original sequential edge order —
+  // the accumulation stays bit-identical at every --host-threads value.
+  core::advance_filter(
       s.ctx, [&](VertexT, VertexT, SizeT) { return true; },
-      [&](VertexT src, VertexT, SizeT) {
-        return d.rank[src] / static_cast<ValueT>(g.degree(src));
-      },
-      [&](VertexT dst, ValueT v) {
-        d.acc[dst] += v;
+      [&](VertexT src, VertexT dst, SizeT) {
+        d.acc[dst] += d.rank[src] / static_cast<ValueT>(g.degree(src));
         return false;
       });
 

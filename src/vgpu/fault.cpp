@@ -1,9 +1,10 @@
 #include "vgpu/fault.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <sstream>
+#include <system_error>
 
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -93,44 +94,39 @@ FaultPlan FaultPlan::parse(const std::string& text) {
                 "fault spec '" + item + "' missing '@device'");
     spec.kind = kind_from_name(item.substr(0, at));
     const char* p = item.c_str() + at + 1;
-    char* end = nullptr;
-    spec.device = static_cast<int>(std::strtol(p, &end, 10));
+    const char* const last = item.c_str() + item.size();
+    // std::from_chars takes no whitespace, no '+' and, for the unsigned
+    // fields, no '-'; a value that does not fit the field is
+    // result_out_of_range, so nothing wraps or aliases another site.
+    const auto number = [&](auto& value, const char* field) {
+      const auto [end, ec] = std::from_chars(p, last, value);
+      MGG_REQUIRE(ec == std::errc{},
+                  "fault spec '" + item + "': bad " + field);
+      p = end;
+    };
+    number(spec.device, "device");
     // -1 is the documented "any device" wildcard; anything more
     // negative is a typo, not a site.
-    MGG_REQUIRE(end != p && spec.device >= -1,
-                "fault spec '" + item + "': bad device");
-    p = end;
+    MGG_REQUIRE(spec.device >= -1, "fault spec '" + item + "': bad device");
     if (*p == '>') {
       ++p;
-      spec.peer = static_cast<int>(std::strtol(p, &end, 10));
-      MGG_REQUIRE(end != p && spec.peer >= -1,
-                  "fault spec '" + item + "': bad peer");
-      p = end;
+      number(spec.peer, "peer");
+      MGG_REQUIRE(spec.peer >= -1, "fault spec '" + item + "': bad peer");
     }
     if (*p == '#') {
       ++p;
-      // strtoull silently wraps a negative literal to a huge count;
-      // reject the sign explicitly so "#-3" names its token.
-      MGG_REQUIRE(*p != '-',
-                  "fault spec '" + item + "': bad at_event");
-      spec.at_event = std::strtoull(p, &end, 10);
-      MGG_REQUIRE(end != p, "fault spec '" + item + "': bad at_event");
-      p = end;
+      number(spec.at_event, "at_event");
     }
     if (*p == 'x') {
       ++p;
-      MGG_REQUIRE(*p != '-', "fault spec '" + item + "': bad count");
-      spec.count = std::strtoull(p, &end, 10);
-      MGG_REQUIRE(end != p && spec.count > 0,
-                  "fault spec '" + item + "': bad count");
-      p = end;
+      number(spec.count, "count");
+      MGG_REQUIRE(spec.count > 0, "fault spec '" + item + "': bad count");
     }
     if (*p == '*') {
       ++p;
-      spec.factor = std::strtod(p, &end);
-      MGG_REQUIRE(end != p && spec.factor > 0,
+      number(spec.factor, "factor");
+      MGG_REQUIRE(std::isfinite(spec.factor) && spec.factor > 0,
                   "fault spec '" + item + "': bad factor");
-      p = end;
     }
     MGG_REQUIRE(*p == '\0',
                 "fault spec '" + item + "': trailing junk '" + p + "'");

@@ -226,9 +226,9 @@ TEST(CommBus, SteadyStateAllocatesNothing) {
 /// What one run_round must add to the bus's counters with two-level on,
 /// rebuilt without the bus: every sender hop as `package` encodes it,
 /// plus one merged push per (gateway, dst, tag) group whose IDs are the
-/// node's buckets concatenated in src order — std::sort + std::unique'd
-/// under kDedupMin — re-encoded by wire::encode with the policy's
-/// format and the destination node's universe.
+/// node's buckets concatenated in src order, std::sort + std::unique'd,
+/// re-encoded by wire::encode with the policy's format and the
+/// destination node's universe.
 struct RelayReference {
   std::uint64_t bytes[3] = {};  ///< by applied format: raw, bitmap, delta
   std::uint64_t inter = 0;      ///< the merged pushes' bytes
@@ -265,10 +265,8 @@ RelayReference reference_round(const vgpu::Machine& machine, CommBus& scratch,
           x.for_each(src, dst, tag, [&](VertexT v) { ids.push_back(v); });
         }
         const std::size_t staged = ids.size();
-        if (policy.combine == core::TwoLevelPolicy::Combine::kDedupMin) {
-          std::sort(ids.begin(), ids.end());
-          ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-        }
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
         ref.dedup += staged - ids.size();
         Message merged;
         merged.set_layout(1, 1, ids.size());
@@ -289,40 +287,29 @@ TEST(CommBus, GatewayMergeMatchesSortedUniqueUnion) {
   // this pins its exact output. Exchange IDs run past the node universe
   // (1535 vs 768), tag 0 buckets ascend, tag 1 buckets descend, and the
   // senders' buckets overlap.
-  using Combine = core::TwoLevelPolicy::Combine;
-  for (const Combine combine : {Combine::kDedupMin, Combine::kConcat}) {
-    for (const WireFormat format : {WireFormat::kRawIds, WireFormat::kAuto}) {
-      auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
-      const Exchange x{machine.num_devices(), format};
-      core::TwoLevelPolicy policy = x.two_level(machine);
-      policy.combine = combine;
-      const std::string where =
-          label(x, true) +
-          (combine == Combine::kDedupMin ? ", dedup-min" : ", concat");
-      CommBus scratch(machine);
-      const RelayReference ref = reference_round(machine, scratch, x, policy);
-      CommBus bus(machine);
-      bus.set_two_level(policy);
-      const core::WireStats before = bus.wire_stats();
-      const std::uint64_t inter_before = bus.link_bytes().inter;
-      const std::uint64_t dedup_before = bus.gateway_dedup_items();
-      Tally tally;
-      run_round(machine, bus, x, tally);
-      const core::WireStats after = bus.wire_stats();
-      EXPECT_EQ(tally.mismatches, 0u) << where;
-      EXPECT_EQ(bus.gateway_dedup_items() - dedup_before, ref.dedup) << where;
-      EXPECT_EQ(bus.link_bytes().inter - inter_before, ref.inter) << where;
-      EXPECT_EQ(after.bytes_raw - before.bytes_raw, ref.bytes[0]) << where;
-      EXPECT_EQ(after.bytes_bitmap - before.bytes_bitmap, ref.bytes[1])
-          << where;
-      EXPECT_EQ(after.bytes_delta - before.bytes_delta, ref.bytes[2])
-          << where;
-      if (combine == Combine::kConcat) {
-        EXPECT_EQ(ref.dedup, 0u) << where;
-      } else {
-        EXPECT_GT(ref.dedup, 0u) << where;
-      }
-    }
+  for (const WireFormat format : {WireFormat::kRawIds, WireFormat::kAuto}) {
+    auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
+    const Exchange x{machine.num_devices(), format};
+    const core::TwoLevelPolicy policy = x.two_level(machine);
+    const std::string where = label(x, true);
+    CommBus scratch(machine);
+    const RelayReference ref = reference_round(machine, scratch, x, policy);
+    CommBus bus(machine);
+    bus.set_two_level(policy);
+    const core::WireStats before = bus.wire_stats();
+    const std::uint64_t inter_before = bus.link_bytes().inter;
+    const std::uint64_t dedup_before = bus.gateway_dedup_items();
+    Tally tally;
+    run_round(machine, bus, x, tally);
+    const core::WireStats after = bus.wire_stats();
+    EXPECT_EQ(tally.mismatches, 0u) << where;
+    EXPECT_EQ(bus.gateway_dedup_items() - dedup_before, ref.dedup) << where;
+    EXPECT_EQ(bus.link_bytes().inter - inter_before, ref.inter) << where;
+    EXPECT_EQ(after.bytes_raw - before.bytes_raw, ref.bytes[0]) << where;
+    EXPECT_EQ(after.bytes_bitmap - before.bytes_bitmap, ref.bytes[1])
+        << where;
+    EXPECT_EQ(after.bytes_delta - before.bytes_delta, ref.bytes[2]) << where;
+    EXPECT_GT(ref.dedup, 0u) << where;
   }
 }
 

@@ -4,7 +4,10 @@
 // watchdog, degraded re-enact).
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
 #include <functional>
+#include <iterator>
 #include <latch>
 #include <memory>
 
@@ -18,6 +21,7 @@
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
+#include "util/random.hpp"
 #include "vgpu/fault.hpp"
 
 namespace mgg {
@@ -839,25 +843,108 @@ TEST(FaultInjection, ParseRejectsMissingOrBadDevice) {
   expect_parse_rejects("kernel_fault@x", "bad device");
   // -1 is the wildcard; -2 is a typo, not a site.
   expect_parse_rejects("kernel_fault@-2", "bad device");
+  // Numbers that do not fit an int must not wrap onto another site
+  // (2^32 - 1 onto the wildcard, 2^32 onto device 0).
+  expect_parse_rejects("kernel_fault@4294967295", "bad device");
+  expect_parse_rejects("kernel_fault@4294967296", "bad device");
+  expect_parse_rejects("kernel_fault@99999999999999999999", "bad device");
 }
 
 TEST(FaultInjection, ParseRejectsBadPeer) {
   expect_parse_rejects("transfer_transient@0>", "bad peer");
   expect_parse_rejects("transfer_transient@0>-3", "bad peer");
+  expect_parse_rejects("transfer_transient@0>4294967297", "bad peer");
 }
 
 TEST(FaultInjection, ParseRejectsNegativeOrZeroCounts) {
-  // strtoull would silently wrap "-3" to a huge count; the sign must
-  // be rejected explicitly.
+  // A sign on an unsigned field is rejected, never wrapped to a huge
+  // count.
   expect_parse_rejects("alloc_transient@1x-3", "bad count");
   expect_parse_rejects("alloc_transient@1x0", "bad count");
   expect_parse_rejects("alloc_transient@1#-2", "bad at_event");
+  // Past 2^64 - 1: rejected, not clamped.
+  expect_parse_rejects("alloc_transient@1#99999999999999999999",
+                       "bad at_event");
+  expect_parse_rejects("alloc_transient@1x99999999999999999999",
+                       "bad count");
 }
 
 TEST(FaultInjection, ParseRejectsBadFactorAndTrailingJunk) {
   expect_parse_rejects("kernel_slowdown@0*", "bad factor");
   expect_parse_rejects("kernel_slowdown@0*-4", "bad factor");
+  expect_parse_rejects("kernel_slowdown@0*1e999", "bad factor");
+  expect_parse_rejects("kernel_slowdown@0*inf", "bad factor");
   expect_parse_rejects("alloc_transient@1z9", "trailing junk");
+}
+
+TEST(FaultInjection, ParseSurvivesSeededMutations) {
+  // Mutation fuzzing of FaultPlan::parse: seeded plans and one plan
+  // that uses every field, each damaged by a byte flip, a truncation, a
+  // longer digit run, or an inserted sign, exponent or non-finite
+  // spelling. parse must accept the text or reject it with
+  // kInvalidArgument; an accepted plan has finite factors and
+  // round-trips through to_string.
+  const std::string kEveryField =
+      "transfer_slowdown@1>2#3x4*2.5,kernel_fault@-1#9";
+  const char* const kInserts[] = {"-", "e999", "inf", "nan"};
+  constexpr std::uint64_t kSeeds = 1000;  // x 2 plans x 4 mutations
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    util::Rng rng(seed);
+    for (const std::string& valid :
+         {vgpu::FaultPlan::from_seed(seed, 4).to_string(), kEveryField}) {
+      for (int mutation = 0; mutation < 4; ++mutation) {
+        std::string text = valid;
+        switch (mutation) {
+          case 0:  // flip some bits of one byte
+            text[rng.next_below(text.size())] ^=
+                static_cast<char>(1 + rng.next_below(255));
+            break;
+          case 1:  // truncate
+            text.resize(rng.next_below(text.size()));
+            break;
+          case 2: {  // lengthen a digit run by 1-20 digits
+            std::size_t at = rng.next_below(text.size());
+            while (at < text.size() &&
+                   !std::isdigit(static_cast<unsigned char>(text[at]))) {
+              ++at;
+            }
+            for (std::uint64_t k = 1 + rng.next_below(20); k > 0; --k) {
+              text.insert(at, 1, static_cast<char>('0' + rng.next_below(10)));
+            }
+            break;
+          }
+          default:  // insert a sign, an exponent or a non-finite spelling
+            text.insert(rng.next_below(text.size() + 1),
+                        kInserts[rng.next_below(std::size(kInserts))]);
+            break;
+        }
+        const std::string where =
+            "seed " + std::to_string(seed) + ", input '" + text + "'";
+        vgpu::FaultPlan plan;
+        try {
+          plan = vgpu::FaultPlan::parse(text);
+        } catch (const Error& e) {
+          EXPECT_EQ(e.status(), Status::kInvalidArgument)
+              << where << ": " << e.what();
+          continue;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << where << ": untyped exception: " << e.what();
+          continue;
+        }
+        for (const vgpu::FaultSpec& spec : plan.specs) {
+          EXPECT_TRUE(std::isfinite(spec.factor)) << where;
+        }
+        const std::string printed = plan.to_string();
+        try {
+          EXPECT_EQ(vgpu::FaultPlan::parse(printed).to_string(), printed)
+              << where;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << where << ": '" << printed
+                        << "' does not parse back: " << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(FaultInjection, ParseRejectsDuplicateSpecs) {

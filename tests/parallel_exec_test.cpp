@@ -202,6 +202,106 @@ TEST(ParallelExec, DobfsBitIdenticalAcrossHostThreads) {
 }
 
 // -------------------------------------------------------------------
+// Every advance pipeline at a size where its two-phase schedule runs.
+// The cases above use a 256-vertex graph, so each per-GPU chunk plan
+// has one chunk and only the sequential loops execute there.
+// -------------------------------------------------------------------
+
+/// One advance pipeline: fused, split (kFixedPrealloc) or dense. The
+/// dense threshold puts every frontier of more than 0.03 * 8192 < 256
+/// (kSlotGrain) vertices in the bitmap, so a dense BFS never runs the
+/// fused schedule and the scratch check below is specific to each row.
+struct PipelinePoint {
+  const char* name;
+  vgpu::AllocationScheme scheme;
+  double dense_threshold;
+};
+const PipelinePoint kPipelines[] = {
+    {"fused", vgpu::AllocationScheme::kPreallocFusion, 0},
+    {"split", vgpu::AllocationScheme::kFixedPrealloc, 0},
+    {"dense", vgpu::AllocationScheme::kPreallocFusion, 0.03},
+};
+
+core::Config pipeline_config(const PipelinePoint& p, int host_threads) {
+  core::Config cfg = test::config_for(kGpus);
+  cfg.scheme = p.scheme;
+  cfg.dense_threshold = p.dense_threshold;
+  cfg.host_threads = host_threads;
+  cfg.mark_predecessors = true;
+  return cfg;
+}
+
+/// memcmp, not ==: an FP divergence must fail even through a NaN.
+template <typename T>
+void expect_same_bytes(const std::vector<T>& a, const std::vector<T>& b,
+                       const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
+      << label;
+}
+
+struct PipelineRun {
+  prim::BfsResult bfs;
+  prim::PagerankResult pr;
+  prim::BcResult bc;
+  prim::DobfsResult dobfs;
+};
+
+PipelineRun run_pipeline(const graph::Graph& g, VertexT src,
+                         const core::Config& cfg) {
+  PipelineRun r;
+  auto m0 = test::test_machine(kGpus);
+  r.bfs = prim::run_bfs(g, src, m0, cfg);
+  auto m1 = test::test_machine(kGpus);
+  r.pr = prim::run_pagerank(g, m1, cfg);
+  auto m2 = test::test_machine(kGpus);
+  r.bc = prim::run_bc(g, m2, cfg, {src});
+  auto m3 = test::test_machine(kGpus);
+  r.dobfs = prim::run_dobfs(g, src, m3, cfg);
+  return r;
+}
+
+TEST(ParallelExec, PipelinesBitIdenticalAcrossHostThreads) {
+  const auto g = test::small_rmat(13, 8);  // |V_i| = 8192 on every GPU
+  const VertexT src = test::first_connected_vertex(g);
+  for (const PipelinePoint& p : kPipelines) {
+    {
+      // Non-vacuity: at width 4 this pipeline's parallel phase runs.
+      auto machine = test::test_machine(kGpus);
+      prim::BfsProblem problem;
+      problem.init(g, machine, pipeline_config(p, 4));
+      prim::BfsEnactor enactor(problem);
+      enactor.reset(src);
+      enactor.enact();
+      std::size_t scratch = 0;
+      for (int gpu = 0; gpu < kGpus; ++gpu) {
+        scratch += enactor.slice(gpu).ctx.par_scratch_bytes();
+      }
+      EXPECT_GT(scratch, 0u) << p.name;
+    }
+    const PipelineRun ref = run_pipeline(g, src, pipeline_config(p, 1));
+    for (const int threads : kThreadCounts) {
+      if (threads == 1) continue;
+      const PipelineRun r = run_pipeline(g, src, pipeline_config(p, threads));
+      const std::string label =
+          std::string(p.name) + " threads=" + std::to_string(threads);
+      expect_same_bytes(r.bfs.labels, ref.bfs.labels, label + " bfs");
+      expect_same_bytes(r.bfs.preds, ref.bfs.preds, label + " bfs");
+      expect_same_stats(r.bfs.stats, ref.bfs.stats, label + " bfs");
+      expect_same_bytes(r.pr.rank, ref.pr.rank, label + " pr");
+      expect_same_stats(r.pr.stats, ref.pr.stats, label + " pr");
+      expect_same_bytes(r.bc.bc, ref.bc.bc, label + " bc");
+      expect_same_stats(r.bc.stats, ref.bc.stats, label + " bc");
+      expect_same_bytes(r.dobfs.labels, ref.dobfs.labels, label + " dobfs");
+      expect_same_bytes(r.dobfs.preds, ref.dobfs.preds, label + " dobfs");
+      EXPECT_EQ(r.dobfs.direction_switches, ref.dobfs.direction_switches)
+          << label;
+      expect_same_stats(r.dobfs.stats, ref.dobfs.stats, label + " dobfs");
+    }
+  }
+}
+
+// -------------------------------------------------------------------
 // Pool error protocol and scheduling properties.
 // -------------------------------------------------------------------
 
