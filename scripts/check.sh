@@ -35,8 +35,8 @@ echo "==> micro_operators acceptance gate (writes BENCH_operators.json)"
 
 echo "==> chaos + fault-recovery suites (explicit)"
 # Seeded fault plans against whole primitive runs plus the targeted
-# recovery tests (grow-and-retry, comm retries, watchdog, degraded
-# re-enact). Every chaos assertion message carries its fault-plan
+# recovery tests (grow-and-retry, comm retries, bounded handshake wait,
+# degraded re-enact). Every chaos assertion message carries its fault-plan
 # seed, so a red run is reproducible straight from this log.
 "$BUILD/tests/mgg_tests" \
   --gtest_filter='Chaos.*:ChaosTsan.*:FaultRecovery.*:FaultInjection.*'
@@ -143,7 +143,8 @@ TSAN_FILTER='Message.*:CommBus.*:Frontier.*:Operators.*:Problem.*'
 TSAN_FILTER+=':Enactor.*:Oom.*:FaultInjection.*'
 TSAN_FILTER+=':OperatorPipeline.*:SyncPipeline.*'
 # Fault-recovery paths cross threads by design: injector atomics,
-# the comm retry loop, the watchdog thread and the regrow replay.
+# the comm retry loop, the bounded handshake wait (a timed-out take
+# aborts the table under the other workers) and the regrow replay.
 TSAN_FILTER+=':FaultRecovery.*:ChaosTsan.*'
 # Tracer observation paths + the Device scale-knob race regression
 # (tracer buffers are written from the enactor's per-GPU threads and

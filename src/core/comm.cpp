@@ -492,7 +492,7 @@ void CommBus::push(int src, int dst, Message message) {
 
 void CommBus::count_bytes(std::size_t bytes, WireFormat format,
                           bool inter_node) {
-  if (bytes > 0) machine_->interconnect().record_transfer(bytes);
+  if (bytes > 0) machine_->interconnect().record_transfer();
   (inter_node ? inter_bytes_ : intra_bytes_)
       .fetch_add(bytes, std::memory_order_relaxed);
   (format == WireFormat::kBitmap        ? wire_bytes_bitmap_
@@ -653,34 +653,6 @@ void CommBus::flush_relays() {
   }
 }
 
-std::vector<Message>& CommBus::drain(int dst) {
-  MGG_CHECK(!strict_drain_ || drained_[dst].empty(), Status::kInternal,
-            "CommBus::drain(" + std::to_string(dst) +
-                "): previous drained batch was not recycled — call "
-                "release_drained() after combining (strict pipeline "
-                "drain protocol)");
-  release_drained(dst);
-  {
-    std::lock_guard<std::mutex> lock(locks_[dst]);
-    // Swap instead of move-and-clear: the inbox inherits the drained
-    // batch's (emptied) storage, so both vectors keep their high-water
-    // capacity across iterations.
-    drained_[dst].swap(inboxes_[dst]);
-  }
-  // Inbox arrival order depends on sender thread timing; sort by
-  // (sender, tag) — unique per iteration — so the combine order, and
-  // with it every downstream quantity (H included, for primitives
-  // whose sends depend on combine order, e.g. SSSP), is reproducible
-  // across runs.
-  std::sort(drained_[dst].begin(), drained_[dst].end(),
-            [](const Message& a, const Message& b) {
-              return a.src_gpu != b.src_gpu ? a.src_gpu < b.src_gpu
-                                            : a.tag < b.tag;
-            });
-  decode_batch(dst, drained_[dst]);
-  return drained_[dst];
-}
-
 void CommBus::decode_batch(int dst, std::vector<Message>& batch) {
   // Issue the modeled decode charges first, sequentially in batch
   // order (decode resets encoding / wire_items), then decode — across
@@ -694,9 +666,9 @@ void CommBus::decode_batch(int dst, std::vector<Message>& batch) {
     if (m.encoding == WireFormat::kRawIds) continue;
     ++encoded;
     // Modeled decode kernel: one launch touching n vertices, charged
-    // to the receiver's compute timeline alongside the combine work it
-    // feeds. Identical across sync modes — per-batch and per-sender
-    // drains decode the same message set exactly once.
+    // to the receiver's compute timeline right before the combine work
+    // it feeds. Identical across sync modes — both drain sender by
+    // sender and decode each message exactly once.
     machine_->device(dst).add_kernel_cost(
         0, m.size(), 1, 1.0,
         m.encoding == WireFormat::kBitmap ? "wire_decode_bitmap"
@@ -714,15 +686,14 @@ void CommBus::decode_batch(int dst, std::vector<Message>& batch) {
 
 std::vector<Message>& CommBus::drain_from(int dst, int src) {
   auto& batch = drained_[dst];
-  // Unlike drain(), never silently recycle: the pipeline combine loop
-  // alternates drain_from / release_drained per sender, and a live
-  // batch here means the caller is still (logically) combining it.
+  // Never silently recycle: the combine loop alternates drain_from /
+  // release_drained per sender, and a live batch here means the caller
+  // is still (logically) combining it.
   MGG_CHECK(batch.empty(), Status::kInternal,
             "CommBus::drain_from(" + std::to_string(dst) + ", " +
                 std::to_string(src) +
                 "): previous drained batch was not recycled — call "
-                "release_drained() before the next drain in pipeline "
-                "mode");
+                "release_drained() before the next drain");
   {
     std::lock_guard<std::mutex> lock(locks_[dst]);
     // Stable partition: extract `src`'s messages, keep the rest in
@@ -743,8 +714,10 @@ std::vector<Message>& CommBus::drain_from(int dst, int src) {
     inbox.resize(kept);
   }
   // Within one sender, tags are unique per superstep; sorting by tag
-  // reproduces the (src_gpu, tag) combine order the barrier schedule
-  // gets from its full-inbox sort.
+  // (with the caller draining senders in ascending order) fixes the
+  // combine order at (src_gpu, tag), so every downstream quantity (H
+  // too, for primitives whose sends depend on combine order, e.g.
+  // SSSP) is reproducible across runs and schedules.
   std::sort(batch.begin(), batch.end(),
             [](const Message& a, const Message& b) { return a.tag < b.tag; });
   decode_batch(dst, batch);

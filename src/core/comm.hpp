@@ -14,7 +14,7 @@
 //
 // Messages are pooled per CommBus: acquire() hands out a recycled
 // message whose vectors keep their high-water capacity, push() moves
-// it to the receiver, drain() surfaces it, and release_drained()
+// it to the receiver, drain_from() surfaces it, and release_drained()
 // returns it to the pool — so steady-state iterations move frontiers
 // with zero message-related heap allocations.
 //
@@ -24,7 +24,9 @@
 // sender's comm timeline, placed after the kernel that packaged the
 // payload, so it overlaps the remainder of the sender's compute work
 // as the paper's comm stream does (§III-B). The receiver drains its
-// inbox after the BSP barrier or the sender's pipeline handshake.
+// inbox sender by sender, in ascending sender order, each sender once
+// the BSP barrier or that sender's pipeline handshake says its pushes
+// have all landed.
 #pragma once
 
 #include <atomic>
@@ -310,28 +312,17 @@ class CommBus {
   /// Error(kUnavailable).
   void push(int src, int dst, Message message);
 
-  /// Take all messages addressed to `dst`. Call only after the barrier
-  /// that follows all senders' pushes. Returns a
-  /// reference to a per-receiver batch that stays valid until the next
-  /// drain(dst) / release_drained(dst); the previous batch (if any) is
-  /// released first — unless strict-drain mode is on, in which case an
-  /// unreleased batch is a hard error.
-  std::vector<Message>& drain(int dst);
-
-  /// Pipeline-mode drain: take only the messages sender `src` has
-  /// deposited for `dst` so far, sorted by tag. The caller must have
-  /// taken the (src -> dst) handshake first, so "so far" is exactly
-  /// this superstep's messages from that sender. Unlike
-  /// drain(), the previous drained batch must already have been
-  /// recycled via release_drained(dst): combining may still hold
-  /// pointers into it, so silently clobbering it is a framework bug
-  /// and raises kInternal instead.
+  /// Take the messages sender `src` has deposited for `dst` so far,
+  /// sorted by tag. The caller must know that sender is done pushing
+  /// to `dst` this superstep (the BSP barrier, or the (src -> dst)
+  /// pipeline handshake), so "so far" is exactly this superstep's
+  /// messages from that sender; draining every sender in ascending
+  /// order yields the deterministic (src_gpu, tag) combine order.
+  /// Returns a reference to a per-receiver batch that stays valid
+  /// until release_drained(dst). The previous batch must already have
+  /// been recycled: combining may still hold pointers into it, so
+  /// silently clobbering it is a framework bug and raises kInternal.
   std::vector<Message>& drain_from(int dst, int src);
-
-  /// Strict drain protocol (set by the enactor in pipeline mode):
-  /// drain(dst) with an unreleased previous batch becomes a hard
-  /// error instead of a silent recycle.
-  void set_strict_drain(bool strict) { strict_drain_ = strict; }
 
   /// Recycle `dst`'s last drained batch into the pool. Call after
   /// combining so the buffers are available to the next iteration's
@@ -445,9 +436,10 @@ class CommBus {
   }
 
   /// Host worker pool used to parallelize wire decode across the
-  /// messages of a drained batch (each message decodes independently;
-  /// the modeled decode charges are issued sequentially in batch order
-  /// first, so accounting is bit-identical to the sequential path).
+  /// messages of one sender's drained batch (each message decodes
+  /// independently; the modeled decode charges are issued sequentially
+  /// in batch order first, so accounting is bit-identical to the
+  /// sequential path).
   /// Null (the default) keeps every path sequential. Set by the
   /// enactor alongside the per-slice OpContext pools.
   void set_host_pool(util::ThreadPool* pool) noexcept { host_pool_ = pool; }
@@ -457,7 +449,7 @@ class CommBus {
   /// IDs (transparently to the combine path), charging the modeled
   /// decode kernel to the *receiver* — the W-vs-H tradeoff lands where
   /// the work runs. Called under no lock: the batch is thread-local to
-  /// the receiver after drain()/drain_from().
+  /// the receiver after drain_from().
   void decode_batch(int dst, std::vector<Message>& batch);
 
   /// Fault consultation + bounded retry for one modeled transfer on
@@ -479,7 +471,6 @@ class CommBus {
   std::vector<std::vector<Message>> drained_;   // per receiver scratch
   mutable std::mutex pool_mutex_;
   std::vector<Message> pool_;
-  bool strict_drain_ = false;
   std::atomic<int> max_retries_{3};
   std::atomic<std::uint64_t> comm_retries_{0};
   std::atomic<std::uint64_t> wire_bytes_raw_{0};

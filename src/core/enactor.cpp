@@ -1,7 +1,6 @@
 #include "core/enactor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -56,8 +55,8 @@ EnactorBase::EnactorBase(ProblemBase& problem)
   }
   bus_ = std::make_unique<CommBus>(problem.machine());
   if (pipeline_) {
-    bus_->set_strict_drain(true);
-    handshakes_ = std::make_unique<HandshakeTable>(n_);
+    handshakes_ =
+        std::make_unique<HandshakeTable>(n_, cfg.watchdog_deadline_s);
   }
   // The barrier completes when its slowest participant arrives, so a
   // heterogeneous machine's l(n) is scaled by the max across devices,
@@ -67,21 +66,16 @@ EnactorBase::EnactorBase(ProblemBase& problem)
     sync_scale_ = std::max(sync_scale_, s->device->model().sync_scale);
   }
   errors_.assign(static_cast<std::size_t>(n_) + 1, nullptr);
-  harvest_.resize(static_cast<std::size_t>(n_));
+  step_.pipeline = pipeline_;
+  step_.gpu_compute_s.assign(static_cast<std::size_t>(n_), 0.0);
+  step_.gpu_comm_s.assign(static_cast<std::size_t>(n_), 0.0);
+  step_.gpu_comm_tail_s.assign(static_cast<std::size_t>(n_), 0.0);
 
+  if (!pipeline_) push_barrier_ = std::make_unique<std::barrier<>>(n_);
+  // The completion runs exclusively, so close_iteration may touch
+  // plain member state.
   barrier_ = std::make_unique<std::barrier<std::function<void()>>>(
-      n_, std::function<void()>([this] {
-        // The completion callback runs exclusively, so plain member
-        // state is safe. BSP uses two barriers per iteration sharing
-        // this object; the pipeline keeps only the convergence
-        // barrier, so every completion closes the superstep.
-        if (pipeline_ || barrier_phase_ == 1) {
-          barrier_phase_ = 0;
-          close_iteration();  // post-combine: close the superstep
-        } else {
-          barrier_phase_ = 1;  // post-push: messages all deposited
-        }
-      }));
+      n_, std::function<void()>([this] { close_iteration(); }));
 
   // Spawn the per-GPU control threads (paper: "Our framework manages
   // each GPU by a dedicated CPU thread to avoid false dependencies
@@ -151,19 +145,16 @@ vgpu::RunStats EnactorBase::enact() {
     std::lock_guard<std::mutex> lock(error_mutex_);
     std::fill(errors_.begin(), errors_.end(), nullptr);
   }
-  barrier_phase_ = 0;
   bus_->reset();
   if (pipeline_) handshakes_->reset();
   tracer_ = problem_.machine().tracer();
   // Fault/recovery wiring. All of it is inert on a fault-free default
-  // machine: no injector, max_oom_regrows defaults to 0, the retry
-  // policy is only consulted under an injector, and the watchdog only
-  // spawns when a deadline is configured.
+  // machine: no injector, max_oom_regrows defaults to 0, and the retry
+  // policy is only consulted under an injector.
   vgpu::FaultInjector* injector = problem_.machine().fault_injector();
   bus_->set_retry_policy(cfg.max_comm_retries);
   if (pipeline_) handshakes_->set_fault_injector(injector);
   oom_regrows_.store(0, std::memory_order_relaxed);
-  progress_.store(0, std::memory_order_relaxed);
   const std::uint64_t comm_retry_base = bus_->comm_retries();
   const WireStats wire_base = bus_->wire_stats();
   const CommBus::LinkBytes link_base = bus_->link_bytes();
@@ -197,9 +188,7 @@ vgpu::RunStats EnactorBase::enact() {
       injector != nullptr ? injector->injected_count() : 0;
   run_stats_.watchdog_deadline_s = cfg.watchdog_deadline_s;
   run_stats_.enact_deadline_s = enact_deadline_s_;
-  // Per-run deadline + abort hooks: a stale abort from a previous run
-  // must not kill this one, and the budget clock starts now.
-  abort_requested_.store(false, std::memory_order_release);
+  // The per-run deadline's budget clock starts now.
   enact_timer_.restart();
   // Dense frontiers are strictly opt-in: the threshold only reaches the
   // operator contexts when the primitive declares support. Wired here
@@ -226,21 +215,6 @@ vgpu::RunStats EnactorBase::enact() {
   }
   begin_iteration(0);
 
-  // Watchdog (pipeline only: BSP workers meet at barriers, which only a
-  // dead thread can stall — and a dead thread already records its error
-  // and aborts). A receiver whose sender's handshake was swallowed
-  // (kHandshakeDrop, or a real lost publish) blocks in take() forever;
-  // the watchdog turns that hang into a clean kTimedOut error stop.
-  const bool watchdog_armed = pipeline_ && cfg.watchdog_deadline_s > 0;
-  if (watchdog_armed) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = false;
-    }
-    watchdog_ = std::thread(
-        [this, deadline = cfg.watchdog_deadline_s] { watchdog_loop(deadline); });
-  }
-
   util::WallTimer timer;
   {
     std::lock_guard<std::mutex> lock(status_mutex_);
@@ -258,14 +232,6 @@ vgpu::RunStats EnactorBase::enact() {
     for (auto& st : status_) st = ThreadStatus::kWait;
   }
   run_stats_.wall_s = timer.seconds();
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
   run_stats_.oom_regrows = oom_regrows_.load(std::memory_order_relaxed);
   run_stats_.comm_retries = bus_->comm_retries() - comm_retry_base;
   {
@@ -349,13 +315,13 @@ void EnactorBase::record_error(int slot) {
 }
 
 void EnactorBase::run_loop(int gpu) {
-  if (pipeline_) {
-    run_loop_pipeline(gpu);
-    return;
-  }
   Slice& s = slice(gpu);
   for (;;) {
-    // --- compute + communicate (overlap modeled on the timelines) ---
+    // --- compute + package/push ---
+    // In pipeline mode communicate() pushes each peer's message as
+    // soon as its bucket is packaged and (on the framework paths)
+    // publishes the handshake right behind it, so early peers'
+    // transfers and combines overlap the packaging of later peers.
     try {
       if (!has_error()) {
         run_core_with_recovery(s);
@@ -364,88 +330,28 @@ void EnactorBase::run_loop(int gpu) {
     } catch (...) {
       record_error(gpu);
     }
-    barrier_->arrive_and_wait();  // all messages deposited
-
-    // --- combine received sub-frontiers (ExpandIncoming) ---
-    try {
-      auto& messages = bus_->drain(gpu);
-      if (!has_error()) {
-        for (const Message& msg : messages) {
-          expand_incoming(s, msg);
-          s.combine_items += msg.vertices.size();
-          // The combine kernel is communication computation (C).
-          s.device->add_kernel_cost(0, msg.vertices.size(), 1, 1.0,
-                                    "combine", vgpu::TraceCategory::kCombine);
-        }
+    if (pipeline_) {
+      // Complete this sender's handshake row even when the hooks threw
+      // or were skipped: receivers block on these handshakes, not a
+      // barrier.
+      try {
+        publish_handshakes(s);
+      } catch (...) {
+        record_error(gpu);  // record_error aborts the table -> no hangs
       }
-      // Recycle the batch now so the pooled buffers are available to
-      // every sender in the next iteration.
-      bus_->release_drained(gpu);
-    } catch (...) {
-      record_error(gpu);
-    }
-    barrier_->arrive_and_wait();  // close_iteration ran exclusively
-
-    if (stop_flag_.load(std::memory_order_acquire)) break;
-  }
-}
-
-void EnactorBase::run_loop_pipeline(int gpu) {
-  Slice& s = slice(gpu);
-  for (;;) {
-    // --- compute + per-peer chunked package/push ---
-    // communicate() pushes each peer's message as soon as its bucket
-    // is packaged and (on the framework paths) publishes the handshake
-    // right behind it, so early peers' transfers and combines overlap
-    // the packaging of later peers.
-    try {
-      if (!has_error()) {
-        run_core_with_recovery(s);
-        communicate(s);
-      }
-    } catch (...) {
-      record_error(gpu);
-    }
-    // Complete this sender's handshake row even when the hooks threw
-    // or were skipped: receivers block on these handshakes, not a
-    // barrier.
-    try {
-      publish_handshakes(s);
-    } catch (...) {
-      record_error(gpu);  // record_error aborts the table -> no hangs
+    } else {
+      push_barrier_->arrive_and_wait();  // A: all messages deposited
     }
 
-    // --- combine, sender by sender in ascending src order ---
-    // Each sender's messages are consumed as soon as that sender's
-    // handshake is taken; processing senders in src order (with
-    // drain_from's per-sender tag sort) reproduces the barrier
-    // schedule's deterministic (src_gpu, tag) combine order bit for bit.
+    // --- combine (ExpandIncoming), sender by sender in ascending src
+    // order: with drain_from's per-sender tag sort this is the
+    // deterministic (src_gpu, tag) combine order in both schedules ---
     for (int src = 0; src < n_; ++src) {
       if (src == s.gpu) continue;
       try {
-        // Trace the wait as a zero-width marker at the current modeled
-        // compute position (the model prices waits via the superstep
-        // critical path, not per handshake); wall_s captures the
-        // host-side stall for diagnosis.
-        const bool traced = tracer_ != nullptr;
-        const double wait_pos =
-            traced ? s.device->modeled_compute_time() : 0.0;
-        util::WallTimer wait_timer;
         // Every push the sender made to us this superstep has landed
         // once this returns (cudaStreamWaitEvent analog).
-        handshakes_->take(src, s.gpu, s.superstep);
-        if (traced) {
-          vgpu::TraceSpan span;
-          span.name = "handshake_wait";
-          span.category = vgpu::TraceCategory::kWait;
-          span.gpu = static_cast<std::int16_t>(s.gpu);
-          span.track = 0;
-          span.peer = src;
-          span.start_s = wait_pos;
-          span.end_s = wait_pos;
-          span.wall_s = wait_timer.seconds();
-          tracer_->record(span);
-        }
+        if (pipeline_) take_handshake(s, src);
         auto& messages = bus_->drain_from(s.gpu, src);
         if (!has_error()) {
           for (const Message& msg : messages) {
@@ -457,7 +363,8 @@ void EnactorBase::run_loop_pipeline(int gpu) {
                                       vgpu::TraceCategory::kCombine);
           }
         }
-        // Recycle before the next sender's drain (strict protocol).
+        // Recycle before the next sender's drain, so the pooled
+        // buffers are also available to every sender next iteration.
         bus_->release_drained(s.gpu);
       } catch (...) {
         record_error(gpu);
@@ -468,6 +375,29 @@ void EnactorBase::run_loop_pipeline(int gpu) {
     barrier_->arrive_and_wait();  // convergence barrier (B): closes step
 
     if (stop_flag_.load(std::memory_order_acquire)) break;
+  }
+}
+
+void EnactorBase::take_handshake(Slice& s, int src) {
+  // Trace the wait as a zero-width marker at the current modeled
+  // compute position (the model prices waits via the superstep
+  // critical path, not per handshake); wall_s captures the host-side
+  // stall for diagnosis.
+  const bool traced = tracer_ != nullptr;
+  const double wait_pos = traced ? s.device->modeled_compute_time() : 0.0;
+  util::WallTimer wait_timer;
+  handshakes_->take(src, s.gpu, s.superstep);
+  if (traced) {
+    vgpu::TraceSpan span;
+    span.name = "handshake_wait";
+    span.category = vgpu::TraceCategory::kWait;
+    span.gpu = static_cast<std::int16_t>(s.gpu);
+    span.track = 0;
+    span.peer = src;
+    span.start_s = wait_pos;
+    span.end_s = wait_pos;
+    span.wall_s = wait_timer.seconds();
+    tracer_->record(span);
   }
 }
 
@@ -512,46 +442,6 @@ void EnactorBase::run_core_with_recovery(Slice& s) {
   }
 }
 
-void EnactorBase::watchdog_loop(double deadline_s) {
-  std::unique_lock<std::mutex> lock(watchdog_mutex_);
-  std::uint64_t last_progress = progress_.load(std::memory_order_acquire);
-  auto last_change = std::chrono::steady_clock::now();
-  // Poll a few times per deadline; the cv makes shutdown (and tests)
-  // prompt regardless of the tick length.
-  const auto tick = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::duration<double>(std::max(deadline_s / 4.0, 0.010)));
-  for (;;) {
-    if (watchdog_cv_.wait_for(lock, tick, [this] { return watchdog_stop_; })) {
-      return;  // run finished normally
-    }
-    const std::uint64_t p = progress_.load(std::memory_order_acquire);
-    const auto now = std::chrono::steady_clock::now();
-    if (p != last_progress) {
-      last_progress = p;
-      last_change = now;
-      continue;
-    }
-    if (std::chrono::duration<double>(now - last_change).count() <
-        deadline_s) {
-      continue;
-    }
-    // Stalled: no superstep closed for a full deadline. Record
-    // kTimedOut through the regular error-stop protocol — record_error
-    // aborts the handshake table, which frees every blocked take(), so
-    // the workers drain to the convergence barrier and stop cleanly;
-    // the enactor stays reusable.
-    try {
-      throw Error(Status::kTimedOut,
-                  "watchdog: no superstep closed within " +
-                      std::to_string(deadline_s) +
-                      " s (stalled handshake or straggler)");
-    } catch (...) {
-      record_error(n_);
-    }
-    return;
-  }
-}
-
 void EnactorBase::mark_peer_done(Slice& s, int peer) {
   if (!pipeline_ || peer == s.gpu) return;
   MGG_ASSERT(!s.peer_signaled[peer],
@@ -580,30 +470,14 @@ void EnactorBase::close_iteration() {
   }
 }
 
-void EnactorBase::request_abort(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(abort_mutex_);
-    abort_reason_ = reason;
-  }
-  abort_requested_.store(true, std::memory_order_release);
-}
-
 void EnactorBase::close_iteration_body() {
-  // Abort + deadline checks first: both route through close_iteration's
-  // catch into the regular error-stop protocol (record_error(n_) + stop
-  // flag — the watchdog's path), so workers drain out of the loop and
-  // the enactor stays reusable. Checked here because every superstep
-  // closes through this exclusive callback in both schedules; a
-  // *stalled* pipeline superstep never closes, which is exactly the
-  // case Config::watchdog_deadline_s covers.
-  if (abort_requested_.load(std::memory_order_acquire)) {
-    std::string reason;
-    {
-      std::lock_guard<std::mutex> lock(abort_mutex_);
-      reason = abort_reason_;
-    }
-    throw Error(Status::kUnavailable, "enactment aborted: " + reason);
-  }
+  // Deadline check first: it routes through close_iteration's catch
+  // into the regular error-stop protocol (record_error(n_) + stop
+  // flag), so workers drain out of the loop and the enactor stays
+  // reusable. Checked here because every superstep closes through this
+  // exclusive callback in both schedules; a *stalled* pipeline
+  // superstep never closes, which is exactly the case the bounded
+  // handshake wait (Config::watchdog_deadline_s) covers.
   if (enact_deadline_s_ > 0 &&
       enact_timer_.seconds() > enact_deadline_s_) {
     throw Error(Status::kTimedOut,
@@ -621,13 +495,9 @@ void EnactorBase::close_iteration_body() {
   if (two_level_active_) bus_->flush_relays();
   vgpu::IterationRecord record;
   record.iteration = iteration_;
-  double max_compute = 0;
-  double max_comm = 0;
-  double max_critical = 0;
   double sum_compute = 0;
   for (auto& s : slices_) {
-    const vgpu::IterationCounters c = harvest_[s->gpu] =
-        s->device->harvest_iteration();
+    const vgpu::IterationCounters c = s->device->harvest_iteration();
     run_stats_.total_edges += c.edges;
     run_stats_.total_vertices += c.vertices;
     run_stats_.total_launches += c.launches;
@@ -635,28 +505,27 @@ void EnactorBase::close_iteration_body() {
     run_stats_.total_comm_items += c.items_out;
     record.edges += c.edges;
     record.comm_items += c.items_out;
-    max_compute = std::max(max_compute, c.compute_s);
-    max_comm = std::max(max_comm, c.comm_s);
     // A GPU's superstep ends when both its stream timelines do: its
     // kernels (compute_s) and its last transfer (comm_tail_s, which
     // already accounts for transfers waiting on the kernels that
     // packaged them via the push-time ready stamp).
-    max_critical =
-        std::max(max_critical, std::max(c.compute_s, c.comm_tail_s));
+    step_.gpu_compute_s[s->gpu] = c.compute_s;
+    step_.gpu_comm_s[s->gpu] = c.comm_s;
+    step_.gpu_comm_tail_s[s->gpu] = c.comm_tail_s;
     sum_compute += c.compute_s;
   }
+  const double max_compute = step_.max_compute_s();
+  const double max_comm = step_.max_comm_s();
   run_stats_.modeled_compute_s += max_compute;
   run_stats_.modeled_comm_s += max_comm;
   // Overlap credit (pipeline schedule only): the barrier schedule is
   // charged serially, max(compute) + max(comm); the pipeline's charge
-  // is the per-GPU critical path of the two overlapped streams. The
-  // difference is the comm time hidden under compute — provably in
-  // [0, max_comm] since max_critical >= max of both terms.
-  double hidden = 0;
-  if (pipeline_) {
-    hidden = std::max(
-        0.0, max_compute + max_comm - std::max(max_critical, max_compute));
-  }
+  // is the per-GPU critical path of the two overlapped streams
+  // (body_s). The difference is the comm time hidden under compute —
+  // provably in [0, max_comm] since the critical path covers both.
+  const double hidden =
+      pipeline_ ? std::max(0.0, max_compute + max_comm - step_.body_s())
+                : 0.0;
   run_stats_.modeled_overlap_hidden_s += hidden;
   // One barrier's worth of latency per superstep in pipeline mode (only
   // the convergence barrier remains); two in BSP. The two-barrier value
@@ -671,13 +540,13 @@ void EnactorBase::close_iteration_body() {
     // Safe here: this runs exclusively in the barrier completion, after
     // every worker's pushes returned — all of this superstep's spans
     // are recorded, none of the next one's.
-    tracer_->close_superstep(iteration_, harvest_, overhead, hidden,
-                             pipeline_);
+    step_.iteration = iteration_;
+    step_.overhead_s = overhead;
+    step_.hidden_s = hidden;
+    tracer_->close_superstep(step_);
   }
   ++run_stats_.iterations;
   ++iteration_;
-  // Feed the watchdog: a closed superstep is forward progress.
-  progress_.fetch_add(1, std::memory_order_release);
 
   bool all_empty = true;
   for (const auto& s : slices_) {

@@ -6,13 +6,14 @@
 //   - one dedicated CPU control thread per GPU ("Manage GPUs"), with
 //     the paper's Idle/Wait/Running/ToKill status protocol (Appendix A)
 //     implemented with condition variables instead of sleep(0) spins;
-//   - the per-iteration superstep loop, in one of two schedules
-//     (Config::sync_mode): classic BSP — core -> split -> package ->
-//     push -> barrier -> combine -> barrier -> convergence check — or
-//     the event-driven pipeline, where each peer's message is pushed
-//     as soon as its bucket is packaged, barrier A is replaced by
-//     per-(sender, receiver) handshakes (docs/architecture.md §8), and
-//     only the convergence barrier remains;
+//   - one per-iteration superstep loop for both schedules
+//     (Config::sync_mode): core -> split -> package -> push -> wait ->
+//     combine sender by sender -> convergence barrier. Only the wait
+//     differs: classic BSP waits once at barrier A for every sender;
+//     the event-driven pipeline pushes each peer's message as soon as
+//     its bucket is packaged and waits per sender on that sender's
+//     (sender, receiver) handshake, bounded by
+//     Config::watchdog_deadline_s (docs/architecture.md §8);
 //   - the framework-owned communication steps: splitting the output
 //     frontier into local and remote sub-frontiers, packaging the
 //     primitive's associated data, pushing to the peers (the transfer
@@ -29,7 +30,7 @@
 // fill_vertex_associates() / fill_value_associates() (what to send),
 // communicate() (for non-frontier-shaped communication like PR's rank
 // pushes), begin_iteration() (e.g. DOBFS's global direction decision),
-// and extra_stop().
+// and converged().
 #pragma once
 
 #include <atomic>
@@ -48,6 +49,7 @@
 #include "core/problem.hpp"
 #include "util/timer.hpp"
 #include "vgpu/cost.hpp"
+#include "vgpu/trace.hpp"
 
 namespace mgg::core {
 
@@ -85,8 +87,8 @@ class EnactorBase {
     };
     std::vector<RouteChunk> route_chunks;
     Message broadcast_proto;
-    /// Pipeline mode: this worker's superstep counter (advances in
-    /// lockstep across workers through the convergence barrier) and
+    /// This worker's superstep counter (advances in lockstep across
+    /// workers through the convergence barrier) and, in pipeline mode,
     /// which peers already had their handshake published this
     /// superstep (via mark_peer_done).
     std::uint64_t superstep = 0;
@@ -120,22 +122,12 @@ class EnactorBase {
 
   /// Arm a wall-clock budget for enact(): when a superstep closes past
   /// `seconds` of run wall time, the run aborts through the regular
-  /// error-stop protocol (the same path the pipeline watchdog uses)
-  /// with Status::kTimedOut, leaving the enactor reusable. Sticky
-  /// across runs until changed; 0 (the default) disarms it and the
-  /// check is two loads per superstep — no modeled cost either way.
-  /// The serve layer arms this per batch with the member queries'
-  /// remaining deadline budget.
+  /// error-stop protocol with Status::kTimedOut, leaving the enactor
+  /// reusable. Sticky across runs until changed; 0 (the default)
+  /// disarms it and the check is two loads per superstep — no modeled
+  /// cost either way. The serve layer arms this per batch with the
+  /// member queries' remaining deadline budget.
   void set_enact_deadline(double seconds) { enact_deadline_s_ = seconds; }
-  double enact_deadline() const noexcept { return enact_deadline_s_; }
-
-  /// Cross-thread abort: the in-flight enact() stops at the next
-  /// superstep close with Status::kUnavailable carrying `reason`, via
-  /// the same error-stop protocol as a device loss — workers drain to
-  /// the barriers and the enactor stays reusable. Safe from any
-  /// thread; cleared at the start of every enact(). A no-op when no
-  /// run is in flight (the next enact() clears it).
-  void request_abort(const std::string& reason);
 
   /// Empty every GPU's frontier (start of a new run).
   void reset_frontiers();
@@ -185,7 +177,7 @@ class EnactorBase {
   /// frontier per the configured strategy (§III-C), packages
   /// associates, pushes to peers, and swaps the frontier so the local
   /// sub-frontier becomes the next input. Primitives with
-  /// non-frontier-shaped communication (PR, CC) override this.
+  /// non-frontier-shaped communication (PR, BC) override this.
   virtual void communicate(Slice& s);
 
   /// Called single-threaded before iteration `iteration` begins
@@ -294,12 +286,6 @@ class EnactorBase {
   /// communicate() call this on each message they build.
   void encode_for_wire(Slice& s, Message& msg, std::size_t universe);
 
-  /// The shared host worker pool, or null when Config::host_threads
-  /// resolves to one worker. Primitives that override communicate()
-  /// may use it (via util::parallel_for) for their own packaging
-  /// gathers; it never changes results, W, H, or modeled times.
-  util::ThreadPool* host_pool() const noexcept { return host_pool_; }
-
   /// Run the associate fill hooks for one packaged message,
   /// parallelized over disjoint source subranges when the pool is
   /// installed (see the fill hook contract above). Output bytes are
@@ -311,8 +297,12 @@ class EnactorBase {
   enum class ThreadStatus { kWait, kRunning, kIdle, kToKill };
 
   void worker(int gpu);
+  /// The superstep loop of both schedules: compute + push, wait, then
+  /// drain and combine sender by sender in ascending src order.
   void run_loop(int gpu);
-  void run_loop_pipeline(int gpu);
+  /// Pipeline wait for sender `src`'s handshake (bounded by
+  /// Config::watchdog_deadline_s), traced as a handshake_wait marker.
+  void take_handshake(Slice& s, int src);
   /// iteration_core with §IV-C grow-and-retry: a transient mid-core
   /// kOutOfMemory (just-enough overflow or injected fault) on a
   /// replayable primitive frees + regrows the output queue and
@@ -320,9 +310,6 @@ class EnactorBase {
   /// Config::max_oom_regrows times (W/H naturally recharged by the
   /// replay; counted in RunStats::oom_regrows).
   void run_core_with_recovery(Slice& s);
-  /// Watchdog body: aborts the run with Status::kTimedOut when no
-  /// superstep closes within `deadline_s` of wall clock.
-  void watchdog_loop(double deadline_s);
   /// Publish the handshake for every peer not already signaled via
   /// mark_peer_done, then clear the marks. Runs even on the error
   /// path: receivers block on these handshakes, not on a barrier.
@@ -365,9 +352,11 @@ class EnactorBase {
   std::condition_variable status_cv_;
   std::vector<ThreadStatus> status_;
 
-  // BSP machinery.
+  // BSP machinery: barrier A (BSP only: every sender's pushes have
+  // landed) and the convergence barrier, whose completion closes the
+  // superstep.
+  std::unique_ptr<std::barrier<>> push_barrier_;
   std::unique_ptr<std::barrier<std::function<void()>>> barrier_;
-  int barrier_phase_ = 0;  // 0: after push, 1: after combine
   std::atomic<bool> stop_flag_{false};
   std::atomic<bool> error_flag_{false};
   std::mutex error_mutex_;
@@ -378,33 +367,21 @@ class EnactorBase {
 
   std::uint64_t iteration_ = 0;
   /// Per-run wall budget (set_enact_deadline); checked when a
-  /// superstep closes, in both schedules — BSP workers always reach
-  /// the completion barrier, and in pipeline mode the watchdog covers
-  /// the stalled-handshake case this check cannot see.
+  /// superstep closes, in both schedules — every worker reaches the
+  /// convergence barrier, and in pipeline mode the bounded handshake
+  /// wait covers the stalled-handshake case this check cannot see.
   double enact_deadline_s_ = 0;
   util::WallTimer enact_timer_;
-  /// request_abort() flag + reason, consumed at superstep close.
-  std::atomic<bool> abort_requested_{false};
-  std::mutex abort_mutex_;
-  std::string abort_reason_;
   /// Superstep replays performed by run_core_with_recovery this run.
   std::atomic<std::uint64_t> oom_regrows_{0};
-  /// Watchdog (armed per enact() when pipeline_ and
-  /// Config::watchdog_deadline_s > 0): progress_ is bumped every time
-  /// a superstep closes; the watchdog thread aborts the run via the
-  /// error-stop protocol when it stops moving for the deadline.
-  std::atomic<std::uint64_t> progress_{0};
-  std::thread watchdog_;
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
   vgpu::RunStats run_stats_;
   std::vector<vgpu::IterationRecord> iteration_records_;
   /// Machine's tracer, fetched once per enact() (null = disabled).
   vgpu::Tracer* tracer_ = nullptr;
-  /// close_iteration scratch: the superstep's per-GPU harvested
-  /// counters, kept so the tracer sees the per-GPU breakdown.
-  std::vector<vgpu::IterationCounters> harvest_;
+  /// close_iteration scratch, reused every superstep: the per-GPU
+  /// stream times, from which both the modeled charge and the tracer's
+  /// record are computed.
+  vgpu::SuperstepTrace step_;
 };
 
 }  // namespace mgg::core

@@ -20,6 +20,12 @@
 // superstep k, which the receiver only reached after taking the
 // superstep-k slot).
 //
+// Bounded wait: before the convergence barrier a pipeline worker waits
+// on another worker only in take(), so a take bounded by the table's
+// deadline (Config::watchdog_deadline_s) is the whole stall guard. A
+// take that outlives it throws Error(kTimedOut) naming the stalled
+// link; the enactor turns that into its regular error stop.
+//
 // Error stop: if a worker dies before publishing, every blocked (and
 // future) take must still return, or the surviving receivers deadlock
 // where the barrier schedule would have drained them through the
@@ -28,10 +34,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "util/error.hpp"
 #include "vgpu/fault.hpp"
@@ -40,14 +48,16 @@ namespace mgg::core {
 
 class HandshakeTable {
  public:
-  explicit HandshakeTable(int num_gpus)
+  /// `deadline_s` bounds every take(); 0 waits forever.
+  explicit HandshakeTable(int num_gpus, double deadline_s = 0)
       : n_(num_gpus),
+        deadline_s_(deadline_s),
         slots_(std::make_unique<Slot[]>(
             static_cast<std::size_t>(num_gpus) * num_gpus)) {}
 
   /// Install (or clear, with nullptr) a fault injector: a
   /// kHandshakeDrop spec swallows the matching publish(), stalling the
-  /// receiver's take() until the enactor's watchdog aborts the run.
+  /// receiver's take() until its deadline (or another error) ends it.
   /// Set by the enactor before the run's workers start.
   void set_fault_injector(vgpu::FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
@@ -76,8 +86,8 @@ class HandshakeTable {
     if (vgpu::FaultInjector* injector =
             fault_injector_.load(std::memory_order_acquire)) {
       if (injector->drop_handshake(src, dst)) {
-        // Swallowed publish: the receiver stalls in take() until the
-        // watchdog (or another error path) calls abort().
+        // Swallowed publish: the receiver stalls in take() until its
+        // deadline expires (or another error path calls abort()).
         return;
       }
     }
@@ -96,13 +106,26 @@ class HandshakeTable {
 
   /// Receiver side: block until the (src -> dst) slot for `superstep`
   /// is published, then consume it. Returns at once on an aborted run.
+  /// Throws Error(kTimedOut) naming the link when the table has a
+  /// deadline and the wait outlives it.
   void take(int src, int dst, std::uint64_t superstep) {
     Slot& s = slot(src, dst);
     std::unique_lock<std::mutex> lock(s.mutex);
-    s.cv.wait(lock, [&] {
+    const auto ready = [&] {
       return (s.armed && s.superstep == superstep) ||
              aborted_.load(std::memory_order_acquire);
-    });
+    };
+    const std::chrono::duration<double> deadline(deadline_s_);
+    if (deadline_s_ <= 0) {
+      s.cv.wait(lock, ready);
+    } else if (!s.cv.wait_for(lock, deadline, ready)) {
+      throw Error(Status::kTimedOut,
+                  "handshake gpu" + std::to_string(src) + " -> gpu" +
+                      std::to_string(dst) + " of superstep " +
+                      std::to_string(superstep) + " not published within " +
+                      std::to_string(deadline_s_) +
+                      " s (stalled handshake or straggler)");
+    }
     if (s.armed && s.superstep == superstep) s.armed = false;
   }
 
@@ -137,6 +160,7 @@ class HandshakeTable {
   }
 
   int n_ = 0;
+  const double deadline_s_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<bool> aborted_{false};
   std::atomic<vgpu::FaultInjector*> fault_injector_{nullptr};

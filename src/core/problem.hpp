@@ -101,10 +101,12 @@ struct Config {
   /// (50 µs · 2^attempt). Retries only matter when a FaultInjector is
   /// installed; fault-free runs never consult them.
   int max_comm_retries = 3;
-  /// Watchdog wall-clock deadline for pipeline-mode progress: if no
-  /// superstep closes for this long, the run aborts cleanly via
-  /// HandshakeTable::abort() with Status::kTimedOut and the enactor
-  /// stays reusable. 0 (default) disarms the watchdog.
+  /// Bound on each pipeline-mode handshake wait: a receiver that waits
+  /// longer than this for one sender's handshake (a swallowed publish,
+  /// or a straggler) throws Status::kTimedOut naming the stalled link,
+  /// and the run stops through the regular error stop with the
+  /// enactor reusable. Checked inside HandshakeTable::take, so it adds
+  /// no thread. 0 (default) waits forever. Ignored under BSP.
   double watchdog_deadline_s = 0;
   /// After a permanent device loss (Status::kUnavailable authored by
   /// the FaultInjector), re-enact on the surviving n-1 vGPUs instead
@@ -126,11 +128,10 @@ class ProblemBase {
   void init(const graph::Graph& g, vgpu::Machine& machine,
             const Config& config);
 
-  /// Distribute an already-partitioned graph (from partition(), or
-  /// another Problem's partitioned_shared()): the per-graph half of
-  /// the state split. Skips the partitioning pass entirely; the
-  /// partition's part count and duplication must match `config`.
-  /// Must be called exactly once.
+  /// Distribute an already-partitioned graph (from partition()): the
+  /// per-graph half of the state split. Skips the partitioning pass
+  /// entirely; the partition's part count and duplication must match
+  /// `config`. Must be called exactly once.
   void init(std::shared_ptr<const part::PartitionedGraph> pg,
             vgpu::Machine& machine, const Config& config);
 
@@ -143,10 +144,6 @@ class ProblemBase {
   int num_gpus() const noexcept { return config_.num_gpus; }
   vgpu::Machine& machine() const { return *machine_; }
   const part::PartitionedGraph& partitioned() const { return *partitioned_; }
-  /// The shared handle, for spinning up further Problems on this graph.
-  std::shared_ptr<const part::PartitionedGraph> partitioned_shared() const {
-    return partitioned_;
-  }
   const part::SubGraph& sub(int gpu) const { return partitioned_->sub(gpu); }
   vgpu::Device& device(int gpu) const { return machine_->device(gpu); }
 

@@ -1,10 +1,15 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -24,13 +29,45 @@ std::string lower(std::string s) {
 /// than a huge allocation.
 constexpr long long kMaxReservedEntries = 1 << 20;
 
-bool next_content_line(std::istream& in, std::string& line) {
+/// Digits that make every written weight read back bit-exactly.
+constexpr int kWeightDigits = std::numeric_limits<ValueT>::max_digits10;
+
+/// The next line of `in` that holds a token and is not a `%` / `#`
+/// comment, split on whitespace into `tokens` (views into `line`).
+/// False at end of stream.
+bool next_content_line(std::istream& in, std::string& line,
+                       std::vector<std::string_view>& tokens) {
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '%' || line[0] == '#') continue;
-    return true;
+    if (!line.empty() && (line[0] == '%' || line[0] == '#')) continue;
+    tokens.clear();
+    const std::string_view text(line);
+    std::size_t i = 0;
+    const auto space = [&](std::size_t k) {
+      return std::isspace(static_cast<unsigned char>(text[k])) != 0;
+    };
+    while (i < text.size()) {
+      while (i < text.size() && space(i)) ++i;
+      const std::size_t begin = i;
+      while (i < text.size() && !space(i)) ++i;
+      if (i > begin) tokens.push_back(text.substr(begin, i - begin));
+    }
+    if (!tokens.empty()) return true;
   }
   return false;
+}
+
+/// The whole token converted by std::from_chars: no trailing
+/// characters, no overflow, and for unsigned `T` no sign.
+template <typename T>
+bool parse_whole(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// The whole token as a finite ValueT.
+bool parse_weight(std::string_view token, ValueT& out) {
+  return parse_whole(token, out) && std::isfinite(out);
 }
 
 }  // namespace
@@ -59,13 +96,14 @@ GraphCoo read_matrix_market(std::istream& in) {
             "unsupported symmetry " + symmetry);
 
   std::string line;
-  MGG_CHECK(next_content_line(in, line), Status::kIoError,
+  std::vector<std::string_view> tokens;
+  MGG_CHECK(next_content_line(in, line, tokens), Status::kIoError,
             "missing size line");
-  std::istringstream ss(line);
-  long long rows = 0, cols = 0, entries = 0;
-  ss >> rows >> cols >> entries;
-  MGG_CHECK(rows > 0 && cols > 0 && entries >= 0, Status::kIoError,
-            "bad size line: " + line);
+  unsigned long long rows = 0, cols = 0, entries = 0;
+  MGG_CHECK(tokens.size() == 3 && parse_whole(tokens[0], rows) &&
+                parse_whole(tokens[1], cols) &&
+                parse_whole(tokens[2], entries) && rows > 0 && cols > 0,
+            Status::kIoError, "bad size line: " + line);
   // Row/column n becomes vertex n-1, which must stay below the
   // kInvalidVertex sentinel.
   MGG_CHECK(rows <= kInvalidVertex && cols <= kInvalidVertex,
@@ -79,27 +117,29 @@ GraphCoo read_matrix_market(std::istream& in) {
 
   GraphCoo coo;
   coo.num_vertices = static_cast<VertexT>(std::max(rows, cols));
-  coo.reserve(static_cast<std::size_t>(
-                  std::min(entries, kMaxReservedEntries)) *
+  coo.reserve(static_cast<std::size_t>(std::min<unsigned long long>(
+                  entries, kMaxReservedEntries)) *
               (symmetric ? 2 : 1));
-  for (long long e = 0; e < entries; ++e) {
-    MGG_CHECK(next_content_line(in, line), Status::kIoError,
+  const std::size_t want_tokens = pattern ? 2 : 3;
+  for (unsigned long long e = 0; e < entries; ++e) {
+    MGG_CHECK(next_content_line(in, line, tokens), Status::kIoError,
               "truncated entry list");
-    std::istringstream es(line);
-    long long u = 0, v = 0;
-    double w = 1.0;
-    es >> u >> v;
+    unsigned long long u = 0, v = 0;
+    ValueT w = 1;
+    MGG_CHECK(tokens.size() == want_tokens && parse_whole(tokens[0], u) &&
+                  parse_whole(tokens[1], v) &&
+                  (pattern || parse_weight(tokens[2], w)),
+              Status::kIoError, "bad MatrixMarket entry: " + line);
     MGG_CHECK(u >= 1 && v >= 1 && u <= rows && v <= cols, Status::kIoError,
-              "entry index out of range");
-    if (!pattern) es >> w;
+              "entry index out of range: " + line);
     const auto su = static_cast<VertexT>(u - 1);
     const auto sv = static_cast<VertexT>(v - 1);
     if (pattern) {
       coo.add_edge(su, sv);
       if (symmetric && su != sv) coo.add_edge(sv, su);
     } else {
-      coo.add_edge(su, sv, static_cast<ValueT>(w));
-      if (symmetric && su != sv) coo.add_edge(sv, su, static_cast<ValueT>(w));
+      coo.add_edge(su, sv, w);
+      if (symmetric && su != sv) coo.add_edge(sv, su, w);
     }
   }
   return coo;
@@ -113,6 +153,7 @@ GraphCoo load_matrix_market(const std::string& path) {
 
 void write_matrix_market(std::ostream& out, const GraphCoo& coo) {
   const bool weighted = coo.has_values();
+  const std::streamsize precision = out.precision(kWeightDigits);
   out << "%%MatrixMarket matrix coordinate "
       << (weighted ? "real" : "pattern") << " general\n";
   out << coo.num_vertices << " " << coo.num_vertices << " "
@@ -122,31 +163,27 @@ void write_matrix_market(std::ostream& out, const GraphCoo& coo) {
     if (weighted) out << " " << coo.values[e];
     out << "\n";
   }
-}
-
-void save_matrix_market(const std::string& path, const GraphCoo& coo) {
-  std::ofstream out(path);
-  MGG_CHECK(out.good(), Status::kIoError, "cannot open " + path);
-  write_matrix_market(out, coo);
+  out.precision(precision);
 }
 
 GraphCoo read_edge_list(std::istream& in) {
   GraphCoo coo;
   std::string line;
+  std::vector<std::string_view> tokens;
   long long max_id = -1;
   bool weighted = false;
   bool first_edge = true;
-  while (next_content_line(in, line)) {
-    std::istringstream es(line);
-    long long u = -1, v = -1;
-    double w = 0.0;
-    es >> u >> v;
-    MGG_CHECK(u >= 0 && v >= 0, Status::kIoError,
-              "bad edge list line: " + line);
+  while (next_content_line(in, line, tokens)) {
+    unsigned long long u = 0, v = 0;
+    ValueT w = 0;
+    const bool has_w = tokens.size() == 3;
+    MGG_CHECK((tokens.size() == 2 || has_w) && parse_whole(tokens[0], u) &&
+                  parse_whole(tokens[1], v) &&
+                  (!has_w || parse_weight(tokens[2], w)),
+              Status::kIoError, "bad edge list line: " + line);
     MGG_CHECK(u < kInvalidVertex && v < kInvalidVertex, Status::kIoError,
               "edge list vertex ID at or above " +
                   std::to_string(kInvalidVertex) + ": " + line);
-    const bool has_w = static_cast<bool>(es >> w);
     if (first_edge) {
       weighted = has_w;
       first_edge = false;
@@ -155,12 +192,12 @@ GraphCoo read_edge_list(std::istream& in) {
                 "mixed weighted/unweighted edge lines");
     }
     if (weighted) {
-      coo.add_edge(static_cast<VertexT>(u), static_cast<VertexT>(v),
-                   static_cast<ValueT>(w));
+      coo.add_edge(static_cast<VertexT>(u), static_cast<VertexT>(v), w);
     } else {
       coo.add_edge(static_cast<VertexT>(u), static_cast<VertexT>(v));
     }
-    max_id = std::max({max_id, u, v});
+    max_id = std::max({max_id, static_cast<long long>(u),
+                       static_cast<long long>(v)});
   }
   coo.num_vertices = static_cast<VertexT>(max_id + 1);
   return coo;
@@ -173,11 +210,13 @@ GraphCoo load_edge_list(const std::string& path) {
 }
 
 void write_edge_list(std::ostream& out, const GraphCoo& coo) {
+  const std::streamsize precision = out.precision(kWeightDigits);
   for (std::size_t e = 0; e < coo.src.size(); ++e) {
     out << coo.src[e] << " " << coo.dst[e];
     if (coo.has_values()) out << " " << coo.values[e];
     out << "\n";
   }
+  out.precision(precision);
 }
 
 void save_edge_list(const std::string& path, const GraphCoo& coo) {

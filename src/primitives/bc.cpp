@@ -53,10 +53,6 @@ void BcProblem::reset(VertexT src) {
   }
 }
 
-void BcProblem::reset_scores() {
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) slices_[gpu].bc.fill(0);
-}
-
 void BcEnactor::reset(VertexT src) {
   bc_problem_.reset(src);
   reset_frontiers();

@@ -48,8 +48,6 @@ class BcProblem : public core::ProblemBase {
   /// Clear per-source state (depth/sigma/delta/levels); bc scores are
   /// preserved so sources accumulate.
   void reset(VertexT src);
-  /// Clear everything including bc scores.
-  void reset_scores();
   VertexT source() const noexcept { return source_; }
 
  protected:

@@ -1,12 +1,10 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace mgg::util {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::mutex g_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -20,13 +18,7 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+LogLevel log_level() noexcept { return LogLevel::kWarn; }
 
 void log_line(LogLevel level, const std::string& message) {
   std::lock_guard<std::mutex> lock(g_mutex);

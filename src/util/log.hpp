@@ -14,9 +14,8 @@ namespace mgg::util {
 
 enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
-/// Global log threshold; messages above it are dropped.
+/// Log threshold (kWarn); messages above it are dropped.
 LogLevel log_level() noexcept;
-void set_log_level(LogLevel level) noexcept;
 
 /// Writes one formatted line to stderr (thread safe).
 void log_line(LogLevel level, const std::string& message);

@@ -75,22 +75,13 @@ class Interconnect {
   /// §V-A fault injection: scale message latency by `m` (the paper
   /// tried 10x and saw no appreciable performance difference).
   void set_latency_multiplier(double m) { latency_multiplier_ = m; }
-  double latency_multiplier() const { return latency_multiplier_; }
 
-  /// Cumulative raw (un-multiplied) bytes ever transferred.
-  std::uint64_t total_bytes() const {
-    return counters_->bytes.load(std::memory_order_relaxed);
-  }
+  /// Cumulative count of transfers that moved bytes.
   std::uint64_t total_messages() const {
-    return counters_->messages.load(std::memory_order_relaxed);
+    return messages_->load(std::memory_order_relaxed);
   }
-  void record_transfer(std::size_t bytes) const {
-    counters_->bytes.fetch_add(bytes, std::memory_order_relaxed);
-    counters_->messages.fetch_add(1, std::memory_order_relaxed);
-  }
-  void reset_counters() {
-    counters_->bytes.store(0, std::memory_order_relaxed);
-    counters_->messages.store(0, std::memory_order_relaxed);
+  void record_transfer() const {
+    messages_->fetch_add(1, std::memory_order_relaxed);
   }
 
   Interconnect(Interconnect&&) = default;
@@ -106,12 +97,9 @@ class Interconnect {
   double volume_multiplier_ = 1.0;
   double latency_multiplier_ = 1.0;
   /// Heap-held so the Interconnect (and Machine) stay movable despite
-  /// the atomics.
-  struct Counters {
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::uint64_t> messages{0};
-  };
-  std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();
+  /// the atomic.
+  std::unique_ptr<std::atomic<std::uint64_t>> messages_ =
+      std::make_unique<std::atomic<std::uint64_t>>(0);
 };
 
 }  // namespace mgg::vgpu

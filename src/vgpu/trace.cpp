@@ -50,7 +50,7 @@ double SuperstepTrace::body_s() const {
   if (!pipeline) return max_compute_s() + max_comm_s();
   // Pipeline charge: each GPU's superstep ends when both its stream
   // timelines do; the body is the slowest GPU's critical path (never
-  // less than max_compute — mirrors EnactorBase::close_iteration_body).
+  // less than max_compute).
   double critical = 0;
   for (std::size_t g = 0; g < gpu_compute_s.size(); ++g) {
     critical = std::max(critical,
@@ -106,24 +106,8 @@ void Tracer::record(TraceSpan span) {
   }
 }
 
-void Tracer::close_superstep(std::uint64_t iteration,
-                             std::span<const IterationCounters> per_gpu,
-                             double overhead_s, double hidden_s,
-                             bool pipeline) {
-  SuperstepTrace step;
-  step.iteration = iteration;
+void Tracer::close_superstep(SuperstepTrace step) {
   step.batch = batch_.load(std::memory_order_relaxed);
-  step.pipeline = pipeline;
-  step.overhead_s = overhead_s;
-  step.hidden_s = hidden_s;
-  step.gpu_compute_s.reserve(per_gpu.size());
-  step.gpu_comm_s.reserve(per_gpu.size());
-  step.gpu_comm_tail_s.reserve(per_gpu.size());
-  for (const IterationCounters& c : per_gpu) {
-    step.gpu_compute_s.push_back(c.compute_s);
-    step.gpu_comm_s.push_back(c.comm_s);
-    step.gpu_comm_tail_s.push_back(c.comm_tail_s);
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     step.index = supersteps_.size();

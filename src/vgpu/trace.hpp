@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -88,8 +87,10 @@ struct TraceSpan {
   std::uint64_t items = 0;
 };
 
-/// One closed superstep, as reported by the enactor: the per-GPU
-/// harvested counters plus the schedule's overhead/overlap terms.
+/// One closed superstep, as charged by the enactor: the per-GPU
+/// harvested stream times plus the schedule's overhead/overlap terms.
+/// The enactor computes the superstep's modeled charge from these
+/// methods, so the trace and RunStats share one formula.
 struct SuperstepTrace {
   std::uint64_t index = 0;      ///< position on the global trace timeline
   std::uint64_t iteration = 0;  ///< enactor iteration counter
@@ -159,14 +160,13 @@ class Tracer {
     return batch_.load(std::memory_order_acquire);
   }
 
-  /// Close superstep `iteration` with the per-GPU harvested counters
-  /// and the schedule's overhead/overlap charges. Called by the
-  /// enactor from its exclusive close-iteration step — every span of
-  /// the closing superstep has been recorded by then (workers park at
-  /// the barrier after their pushes returned).
-  void close_superstep(std::uint64_t iteration,
-                       std::span<const IterationCounters> per_gpu,
-                       double overhead_s, double hidden_s, bool pipeline);
+  /// Close the superstep the enactor charged as `step` (its per-GPU
+  /// stream times and the schedule's overhead/overlap terms); the
+  /// tracer stamps `index` and `batch`. Called by the enactor from its
+  /// exclusive close-iteration step — every span of the closing
+  /// superstep has been recorded by then (workers park at the barrier
+  /// after their pushes returned).
+  void close_superstep(SuperstepTrace step);
 
   // ----------------------------------------------------------------
   // Analysis / export. Call only when no thread is recording

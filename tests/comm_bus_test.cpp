@@ -1,6 +1,6 @@
 // CommBus data-path properties: exact payload round-trips at 1-8 vGPUs,
-// zero steady-state heap allocations across push -> drain -> release
-// -> flush_relays for flat and two-level topologies under raw and
+// zero steady-state heap allocations across push -> drain_from ->
+// release -> flush_relays for flat and two-level topologies under raw and
 // compressed wire formats, the gateway merge's exact output, push's
 // fault path, and the reset() lifecycle, alone and against concurrent
 // senders.
@@ -55,6 +55,18 @@ using core::Message;
 using core::WireFormat;
 
 constexpr double kDensity = 1.0 / 16;
+
+/// Drain receiver `dst`'s inbox sender by sender in ascending order,
+/// as the enactor does, handing each message to `visit` and releasing
+/// each sender's batch before the next drain.
+template <typename Visit>
+void drain_each_sender(CommBus& bus, int n, int dst, Visit&& visit) {
+  for (int src = 0; src < n; ++src) {
+    if (src == dst) continue;
+    for (const Message& m : bus.drain_from(dst, src)) visit(m);
+    bus.release_drained(dst);
+  }
+}
 
 /// An SSSP-shaped exchange over a shared vertex universe: vertex v is
 /// hosted by GPU v % n, and GPU g emits the 16-vertex blocks q = v / 16
@@ -134,8 +146,9 @@ struct Tally {
 };
 
 /// One superstep: every GPU pushes both tags to every peer; then every
-/// receiver checks and releases its batch, and the gateways flush. No gtest assertion runs inside, so
-/// the round itself is all the allocation counter sees.
+/// receiver checks and releases each sender's batch, and the gateways
+/// flush. No gtest assertion runs inside, so the round itself is all
+/// the allocation counter sees.
 void run_round(vgpu::Machine& machine, CommBus& bus, const Exchange& x,
                Tally& tally) {
   const int n = machine.num_devices();
@@ -148,11 +161,10 @@ void run_round(vgpu::Machine& machine, CommBus& bus, const Exchange& x,
     }
   }
   for (int d = 0; d < n; ++d) {
-    for (const Message& m : bus.drain(d)) {
+    drain_each_sender(bus, n, d, [&](const Message& m) {
       ++tally.messages;
       if (!x.matches(d, m)) ++tally.mismatches;
-    }
-    bus.release_drained(d);
+    });
   }
   bus.flush_relays();
 }
@@ -328,8 +340,7 @@ TEST(CommBus, ResetEmptiesRelayLedger) {
     }
   }
   for (int d = 0; d < n; ++d) {
-    bus.drain(d);
-    bus.release_drained(d);
+    drain_each_sender(bus, n, d, [](const Message&) {});
   }
   // Only the intra-node messages are back; 8 of 12 crossed nodes.
   EXPECT_EQ(bus.pool_size(), 4u);
@@ -351,7 +362,7 @@ TEST(CommBus, ResetRecyclesUndrainedMessages) {
   bus.push(0, 1, std::move(msg));
   bus.reset();
   EXPECT_EQ(bus.pool_size(), 1u);
-  EXPECT_TRUE(bus.drain(1).empty())
+  EXPECT_TRUE(bus.drain_from(1, 0).empty())
       << "stale message leaked into the post-reset inbox";
 }
 
@@ -373,7 +384,7 @@ TEST(CommBus, PushThrowsOnPermanentTransferFault) {
     EXPECT_EQ(e.status(), Status::kUnavailable) << e.what();
   }
   EXPECT_EQ(bus.pool_size(), 1u);
-  EXPECT_TRUE(bus.drain(1).empty());
+  EXPECT_TRUE(bus.drain_from(1, 0).empty());
   machine.set_fault_injector(nullptr);
 }
 
@@ -408,8 +419,7 @@ TEST(CommBus, ResetUnderConcurrentPushTraffic) {
     // Fresh post-reset pushes may already be landing; just cycle the
     // drain path under contention (TSan covers the rest).
     for (int d = 0; d < 4; ++d) {
-      bus.drain(d);
-      bus.release_drained(d);
+      drain_each_sender(bus, 4, d, [](const Message&) {});
     }
   }
   stop.store(true, std::memory_order_release);
@@ -418,7 +428,11 @@ TEST(CommBus, ResetUnderConcurrentPushTraffic) {
   // every payload accounted for in the pool.
   bus.reset();
   for (int d = 0; d < 4; ++d) {
-    EXPECT_TRUE(bus.drain(d).empty());
+    for (int src = 0; src < 4; ++src) {
+      if (src == d) continue;
+      EXPECT_TRUE(bus.drain_from(d, src).empty());
+      bus.release_drained(d);
+    }
   }
   EXPECT_GT(bus.pool_size(), 0u);
 }

@@ -239,19 +239,20 @@ TEST(CommBus, DeliversToInbox) {
   values[1] = 2.0f;
   values[2] = 3.0f;
   bus.push(0, 1, std::move(msg));
-  const auto& received = bus.drain(1);
+  const auto& received = bus.drain_from(1, 0);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].src_gpu, 0);
   EXPECT_EQ(received[0].vertices.size(), 3u);
   EXPECT_FLOAT_EQ(received[0].value_slot(0)[2], 3.0f);
-  EXPECT_TRUE(bus.drain(1).empty());  // drained
+  bus.release_drained(1);
+  EXPECT_TRUE(bus.drain_from(1, 0).empty());  // drained
 }
 
 TEST(CommBus, EmptyMessagesAreDropped) {
   auto machine = test::test_machine(2);
   core::CommBus bus(machine);
   bus.push(0, 1, Message{});
-  EXPECT_TRUE(bus.drain(1).empty());
+  EXPECT_TRUE(bus.drain_from(1, 0).empty());
 }
 
 TEST(CommBus, ChargesSenderCommCost) {
@@ -323,7 +324,7 @@ TEST(CommBus, PoolRecyclesDrainedMessages) {
   const VertexT* storage = msg.vertices.data();
   bus.push(0, 1, std::move(msg));
   {
-    const auto& received = bus.drain(1);
+    const auto& received = bus.drain_from(1, 0);
     ASSERT_EQ(received.size(), 1u);
     EXPECT_EQ(received[0].vertices.data(), storage);  // no copy en route
   }
@@ -348,12 +349,15 @@ TEST(CommBus, DrainedBatchStableUntilNextDrain) {
     msg.vertices[0] = static_cast<VertexT>(src);
     bus.push(src, 1, std::move(msg));
   }
-  auto& batch = bus.drain(1);
-  ASSERT_EQ(batch.size(), 2u);
-  // Empty messages pushed elsewhere don't disturb receiver 1's batch.
-  bus.push(0, 2, bus.acquire());
-  EXPECT_EQ(batch.size(), 2u);
-  bus.release_drained(1);
+  for (int src : {0, 2}) {
+    auto& batch = bus.drain_from(1, src);
+    ASSERT_EQ(batch.size(), 1u);
+    // Empty messages pushed elsewhere don't disturb receiver 1's batch.
+    bus.push(0, 2, bus.acquire());
+    EXPECT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].vertices[0], static_cast<VertexT>(src));
+    bus.release_drained(1);
+  }
   EXPECT_GE(bus.pool_size(), 2u);
 }
 

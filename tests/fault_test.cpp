@@ -1,7 +1,7 @@
 // Failure-injection tests: out-of-memory behavior, error propagation
 // out of the multi-threaded enactor, and the deterministic
 // fault-injection + recovery layer (grow-and-retry, comm retries,
-// watchdog, degraded re-enact).
+// bounded handshake wait, degraded re-enact).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -730,9 +730,9 @@ TEST(FaultRecovery, TransferRetryExhaustionSurfacesUnavailable) {
   EXPECT_NO_THROW(runner->enact());
 }
 
-// A swallowed handshake stalls the receiver; the watchdog must convert
-// the hang into kTimedOut through the regular error stop, and the
-// enactor must stay reusable.
+// A swallowed handshake stalls the receiver; the bounded handshake
+// wait must convert the hang into a kTimedOut naming the stalled link
+// through the regular error stop, and the enactor must stay reusable.
 TEST(FaultRecovery, WatchdogConvertsHandshakeStallIntoTimedOut) {
   constexpr int kGpus = 2;
   core::Config cfg = test::config_for(kGpus);
@@ -763,6 +763,8 @@ TEST(FaultRecovery, WatchdogConvertsHandshakeStallIntoTimedOut) {
     FAIL() << "expected watchdog timeout";
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kTimedOut) << e.what();
+    EXPECT_NE(std::string(e.what()).find("gpu0 -> gpu1"), std::string::npos)
+        << e.what();
   }
   machine.set_fault_injector(nullptr);
   runner->reset();

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <random>
 #include <string>
@@ -35,6 +37,14 @@
 
 namespace mgg {
 namespace {
+
+/// Threads of this process, or -1 where /proc/self/task is missing.
+std::ptrdiff_t thread_count() {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) return -1;
+  return std::distance(std::filesystem::directory_iterator(tasks),
+                       std::filesystem::directory_iterator{});
+}
 
 core::Config pipeline_config(int gpus) {
   core::Config cfg = test::config_for(gpus);
@@ -336,13 +346,12 @@ TEST(SyncPipeline, ErrorInOneWorkerSurfacesWithoutDeadlock) {
 }
 
 TEST(SyncPipeline, StrictDrainProtocolRejectsUnreleasedBatch) {
-  // Satellite guard: in pipeline mode the combine loop must recycle
-  // each drained batch (release_drained) before the next drain; the
-  // bus turns a violation into a loud kInternal instead of silently
-  // recycling pooled buffers out from under a live combine.
+  // Satellite guard: the combine loop must recycle each drained batch
+  // (release_drained) before the next drain; the bus turns a violation
+  // into a loud kInternal instead of silently recycling pooled buffers
+  // out from under a live combine.
   auto machine = test::test_machine(2);
   core::CommBus bus(machine);
-  bus.set_strict_drain(true);
 
   auto send = [&] {
     core::Message msg = bus.acquire();
@@ -352,15 +361,9 @@ TEST(SyncPipeline, StrictDrainProtocolRejectsUnreleasedBatch) {
   };
 
   send();
-  auto& batch = bus.drain(1);
+  auto& batch = bus.drain_from(1, 0);
   ASSERT_EQ(batch.size(), 1u);
   send();
-  try {
-    bus.drain(1);
-    FAIL() << "expected strict-drain violation";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.status(), Status::kInternal);
-  }
   try {
     bus.drain_from(1, 0);
     FAIL() << "expected strict-drain violation";
@@ -454,8 +457,9 @@ TEST(SyncPipeline, HandshakeAbortUnblocksAllTakers) {
 
 // Injected-stall abort stressor: a fault injector swallows one
 // handshake publish, stranding the receiver in take(); a control
-// thread (standing in for the enactor watchdog) aborts the table,
-// which must release the stalled waiter and let every worker finish.
+// thread (standing in for another worker's error path) aborts the
+// table, which must release the stalled waiter and let every worker
+// finish.
 TEST(SyncPipeline, HandshakeInjectedStallAbortReleasesBlockedWaiters) {
   constexpr int kGpus = 3;
   core::HandshakeTable table(kGpus);
@@ -485,7 +489,7 @@ TEST(SyncPipeline, HandshakeInjectedStallAbortReleasesBlockedWaiters) {
     });
   }
   // GPU 1 is stalled in take(0, 1, 0) — its sender's publish was
-  // dropped. After a grace period the "watchdog" aborts.
+  // dropped. After a grace period the control thread aborts.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(injector.injected_count(), 1u);
   table.abort();
@@ -494,6 +498,64 @@ TEST(SyncPipeline, HandshakeInjectedStallAbortReleasesBlockedWaiters) {
   table.set_fault_injector(nullptr);
   table.reset();
   EXPECT_FALSE(table.aborted());
+}
+
+// A bounded table turns a wait that outlives its deadline into a typed
+// kTimedOut naming the stalled link; a published slot is taken at once
+// and an aborted table still returns without waiting.
+TEST(SyncPipeline, BoundedHandshakeTakeTimesOutNamingTheLink) {
+  core::HandshakeTable table(3, 0.05);
+  table.publish(2, 0, 0);
+  table.take(2, 0, 0);
+  try {
+    table.take(0, 1, 0);
+    FAIL() << "an unpublished handshake was taken";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kTimedOut) << e.what();
+    EXPECT_NE(std::string(e.what()).find("gpu0 -> gpu1"), std::string::npos)
+        << e.what();
+  }
+  table.abort();
+  table.take(0, 1, 0);
+}
+
+// Arming Config::watchdog_deadline_s bounds the handshake wait inside
+// take() itself, so it adds no thread to an enactment: the count taken
+// from inside iteration_core of a warm enact() equals the count taken
+// just before it.
+TEST(SyncPipeline, BoundedHandshakeWaitSpawnsNoThread) {
+  if (thread_count() < 0) GTEST_SKIP() << "no /proc/self/task here";
+  class CountingBfsEnactor : public prim::BfsEnactor {
+   public:
+    using prim::BfsEnactor::BfsEnactor;
+    std::atomic<bool> sample{false};
+    std::atomic<std::ptrdiff_t> seen{-1};
+
+   protected:
+    void iteration_core(Slice& s) override {
+      if (sample.load() && s.gpu == 0 && iteration() == 0) {
+        seen.store(thread_count());
+      }
+      prim::BfsEnactor::iteration_core(s);
+    }
+  };
+
+  const auto g = test::small_rmat();
+  const VertexT src = test::first_connected_vertex(g);
+  auto machine = test::test_machine(2);
+  core::Config cfg = pipeline_config(2);
+  cfg.watchdog_deadline_s = 5;
+  cfg.host_threads = 1;
+  prim::BfsProblem problem;
+  problem.init(g, machine, cfg);
+  CountingBfsEnactor enactor(problem);
+  enactor.reset(src);
+  enactor.enact();  // warm-up: sizes the shared host pool
+  enactor.reset(src);
+  enactor.sample = true;
+  const std::ptrdiff_t before = thread_count();
+  enactor.enact();
+  EXPECT_EQ(enactor.seen.load(), before);
 }
 
 }  // namespace
