@@ -172,18 +172,21 @@ TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
 
-echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined"
+echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined,float-cast-overflow"
+# GCC's -fsanitize=undefined leaves out float-cast-overflow, the check
+# that catches an out-of-range double -> integer conversion (such as a
+# generator's edge count past SizeT), so it is named on its own.
 cmake -B "$ASAN_BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build "$ASAN_BUILD" -j --target mgg_tests
 
 echo "==> asan+ubsan: every suite"
 # Message lifetimes across push -> inbox -> drain -> relay ledger ->
-# pool, pooled buffers, the wire codecs and the graph readers. Any UB
-# report aborts the run; _GLIBCXX_ASSERTIONS adds libstdc++'s bounds
-# checks on top. allocator_may_return_null: MemoryManager's
+# pool, pooled buffers, the wire codecs, the graph readers and builders
+# and the option parser. Any UB report aborts the run;
+# _GLIBCXX_ASSERTIONS adds libstdc++'s bounds checks on top. allocator_may_return_null: MemoryManager's
 # HostAllocationFailureRollsBackAccounting requests a 2^60-byte host
 # block on purpose, which ASan otherwise aborts on.
 ASAN_OPTIONS=allocator_may_return_null=1 "$ASAN_BUILD/tests/mgg_tests"

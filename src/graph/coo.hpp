@@ -7,8 +7,10 @@
 // and duplicated edges are removed."
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -77,33 +79,49 @@ struct Coo {
 
   /// Sort edges by (src, dst) and remove duplicates, keeping the first
   /// occurrence's value (deterministic given a deterministic input order).
+  ///
+  /// O(E + V): two stable counting sorts of the edge positions, by dst
+  /// and then by src, leave them in (src, dst, input position) order, so
+  /// the first edge of each run of equal endpoints is its first
+  /// occurrence. The counts are indexed by endpoint, hence the endpoint
+  /// check up front.
   void remove_duplicates() {
-    std::vector<std::size_t> order(src.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (src[a] != src[b]) return src[a] < src[b];
-      if (dst[a] != dst[b]) return dst[a] < dst[b];
-      return a < b;  // stable for value determinism
-    });
+    MGG_REQUIRE(src.size() <= std::numeric_limits<S>::max(),
+                "edge count exceeds the edge-index type");
+    validate();
+    const std::size_t m = src.size();
+    const auto sort_by = [&](const std::vector<V>& key, auto position) {
+      std::vector<S> start(static_cast<std::size_t>(num_vertices) + 1, 0);
+      for (const V k : key) ++start[static_cast<std::size_t>(k) + 1];
+      std::partial_sum(start.begin(), start.end(), start.begin());
+      std::vector<S> out(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const S e = position(i);
+        out[start[key[e]]++] = e;
+      }
+      return out;
+    };
+    std::vector<S> order =
+        sort_by(dst, [](std::size_t i) { return static_cast<S>(i); });
+    order = sort_by(src, [&order](std::size_t i) { return order[i]; });
 
-    std::vector<V> new_src, new_dst;
-    std::vector<W> new_val;
-    new_src.reserve(src.size());
-    new_dst.reserve(dst.size());
-    if (has_values()) new_val.reserve(values.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t e = order[i];
-      if (!new_src.empty() && new_src.back() == src[e] &&
-          new_dst.back() == dst[e]) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const S e = order[i];
+      if (kept > 0 && src[order[kept - 1]] == src[e] &&
+          dst[order[kept - 1]] == dst[e]) {
         continue;
       }
-      new_src.push_back(src[e]);
-      new_dst.push_back(dst[e]);
-      if (has_values()) new_val.push_back(values[e]);
+      order[kept++] = e;
     }
-    src = std::move(new_src);
-    dst = std::move(new_dst);
-    values = std::move(new_val);
+    const auto gather = [&](auto& array) {
+      std::remove_reference_t<decltype(array)> out(kept);
+      for (std::size_t i = 0; i < kept; ++i) out[i] = array[order[i]];
+      array = std::move(out);
+    };
+    gather(src);
+    gather(dst);
+    if (has_values()) gather(values);
   }
 
   /// Full cleanup pipeline from §VII-A: drop self loops, make the graph

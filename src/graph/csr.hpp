@@ -54,24 +54,38 @@ struct Csr {
     return g;
   }
 
-  /// Sort each vertex's neighbor list (by destination), keeping values
-  /// paired with their edges.
+  /// Sort each vertex's neighbor list by (destination, value), keeping
+  /// values paired with their edges. A list already in that order is
+  /// left as it is: from_coo of a deduplicated COO emits every list
+  /// sorted, since its counting sort keeps the (src, dst) input order.
+  /// The check covers values too, so repeated columns (a multigraph from
+  /// a reader, or its transpose) still come out in (column, value) order.
   void sort_neighbor_lists() {
+    const auto in_order = [this](S begin, S end) {
+      for (S e = begin + 1; e < end; ++e) {
+        if (col_indices[e] < col_indices[e - 1]) return false;
+        if (has_values() && col_indices[e] == col_indices[e - 1] &&
+            edge_values[e] < edge_values[e - 1]) {
+          return false;
+        }
+      }
+      return true;
+    };
+    std::vector<std::pair<V, W>> pairs;
     for (std::size_t v = 0; v < num_vertices; ++v) {
       const S begin = row_offsets[v];
       const S end = row_offsets[v + 1];
-      if (end - begin < 2) continue;
+      if (in_order(begin, end)) continue;
       if (!has_values()) {
         std::sort(col_indices.begin() + begin, col_indices.begin() + end);
         continue;
       }
-      std::vector<std::pair<V, W>> tmp;
-      tmp.reserve(end - begin);
-      for (S e = begin; e < end; ++e) tmp.emplace_back(col_indices[e], edge_values[e]);
-      std::sort(tmp.begin(), tmp.end());
+      pairs.clear();
+      for (S e = begin; e < end; ++e) pairs.emplace_back(col_indices[e], edge_values[e]);
+      std::sort(pairs.begin(), pairs.end());
       for (S e = begin; e < end; ++e) {
-        col_indices[e] = tmp[e - begin].first;
-        edge_values[e] = tmp[e - begin].second;
+        col_indices[e] = pairs[e - begin].first;
+        edge_values[e] = pairs[e - begin].second;
       }
     }
   }

@@ -1,6 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <vector>
 
 #include "util/error.hpp"
@@ -10,6 +13,43 @@ namespace mgg::graph {
 
 using util::Rng;
 
+namespace {
+
+/// `factor * n` edges as a SizeT. A product at or past 2^digits is
+/// rejected before the conversion, which would be undefined behaviour.
+SizeT edge_count(const char* generator, int scale, double factor,
+                 VertexT n) {
+  const double edges = factor * static_cast<double>(n);
+  if (edges < std::ldexp(1.0, std::numeric_limits<SizeT>::digits)) {
+    return static_cast<SizeT>(edges);
+  }
+  std::ostringstream what;
+  what << generator << " scale " << scale << " with edge factor "
+       << std::setprecision(17) << factor << " exceeds "
+       << std::numeric_limits<SizeT>::max() << " edges";
+  throw Error(Status::kInvalidArgument, what.str());
+}
+
+/// One level of the R-MAT descent: shift the quadrant that `r` picks
+/// into u and v. The flags mirror the else-if chain
+///   r < a: (0,0); else r < a+b: (0,1); else r < a+b+c: (1,0); else (1,1)
+/// term by term (`ab` = a + b, `abc` = a + b + c, summed in that order
+/// by the caller), so it picks the same quadrant for any probabilities,
+/// including the negative ones large noise can perturb into; the
+/// shorter "u bit = r >= a+b" does not. Bitwise & and | keep it free of
+/// branches; && and || compile back into them.
+inline void descend(double r, double a, double ab, double abc, VertexT& u,
+                    VertexT& v) {
+  const bool qa = r < a;
+  const bool qb = !qa & (r < ab);
+  const bool qc = !qa & !qb & (r < abc);
+  const bool qd = !(qa | qb | qc);
+  u = (u << 1) | static_cast<VertexT>(qc | qd);
+  v = (v << 1) | static_cast<VertexT>(qb | qd);
+}
+
+}  // namespace
+
 GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
                    std::uint64_t seed, double noise) {
   MGG_REQUIRE(scale >= 1 && scale < 31, "rmat scale out of range");
@@ -18,7 +58,7 @@ GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
   MGG_REQUIRE(std::abs(sum - 1.0) < 1e-6, "rmat params must sum to 1");
 
   const VertexT n = VertexT{1} << scale;
-  const SizeT m = static_cast<SizeT>(edge_factor * static_cast<double>(n));
+  const SizeT m = edge_count("rmat", scale, edge_factor, n);
 
   GraphCoo coo;
   coo.num_vertices = n;
@@ -40,18 +80,8 @@ GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
       b /= norm;
       c /= norm;
       const double r = rng.next_double();
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-        // top-left: no bits set
-      } else if (r < a + b) {
-        v |= 1;
-      } else if (r < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      const double ab = a + b;
+      descend(r, a, ab, ab + c, u, v);
     }
     coo.add_edge(u, v);
   }
@@ -220,33 +250,25 @@ GraphCoo make_small_world(VertexT num_vertices, int k, double beta,
 GraphCoo make_kronecker(int scale, double edges_per_vertex,
                         const RmatParams& initiator, std::uint64_t seed) {
   MGG_REQUIRE(scale >= 1 && scale < 31, "kronecker scale out of range");
+  MGG_REQUIRE(edges_per_vertex > 0,
+              "kronecker edges per vertex must be positive");
   const double sum =
       initiator.a + initiator.b + initiator.c + initiator.d;
   MGG_REQUIRE(std::abs(sum - 1.0) < 1e-6, "initiator must sum to 1");
   const VertexT n = VertexT{1} << scale;
-  const SizeT m =
-      static_cast<SizeT>(edges_per_vertex * static_cast<double>(n));
+  const SizeT m = edge_count("kronecker", scale, edges_per_vertex, n);
   GraphCoo coo;
   coo.num_vertices = n;
   coo.reserve(m);
   Rng rng(seed);
   // Noise-free per-level descent: exactly the R-MAT recursion with the
   // initiator probabilities fixed at every level (Graph500 style).
+  const double ab = initiator.a + initiator.b;
+  const double abc = ab + initiator.c;
   for (SizeT e = 0; e < m; ++e) {
     VertexT u = 0, v = 0;
     for (int level = 0; level < scale; ++level) {
-      const double r = rng.next_double();
-      u <<= 1;
-      v <<= 1;
-      if (r < initiator.a) {
-      } else if (r < initiator.a + initiator.b) {
-        v |= 1;
-      } else if (r < initiator.a + initiator.b + initiator.c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      descend(rng.next_double(), initiator.a, ab, abc, u, v);
     }
     coo.add_edge(u, v);
   }

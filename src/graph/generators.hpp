@@ -35,6 +35,7 @@ struct RmatParams {
 /// edge_factor * 2^scale edges, per-level parameter noise.
 /// Returned edges are directed and may contain self loops/duplicates;
 /// run Coo::to_undirected_clean() (as the paper does) before use.
+/// Throws kInvalidArgument when edge_factor * 2^scale exceeds SizeT.
 GraphCoo make_rmat(int scale, double edge_factor,
                    const RmatParams& params = RmatParams::gtgraph(),
                    std::uint64_t seed = 1, double noise = 0.1);
@@ -84,7 +85,8 @@ GraphCoo make_small_world(VertexT num_vertices, int k, double beta,
 /// (Graph500's generator family); expected edges ~ (a+b+c+d)^scale.
 /// Practical for scale <= ~16 (the sampler is O(4^scale_splits) work
 /// per edge via per-level descent, like R-MAT but without
-/// renormalization noise).
+/// renormalization noise). Throws kInvalidArgument when
+/// edges_per_vertex * 2^scale exceeds SizeT.
 GraphCoo make_kronecker(int scale, double edges_per_vertex,
                         const RmatParams& initiator = RmatParams::gtgraph(),
                         std::uint64_t seed = 1);

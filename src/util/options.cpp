@@ -1,8 +1,7 @@
 #include "util/options.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/error.hpp"
 
@@ -37,32 +36,37 @@ std::string Options::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
+// Numbers are whole tokens converted by std::from_chars, like the graph
+// readers' and FaultPlan::parse's: no leading whitespace, no '+', no hex
+// floats, nothing trailing.
+
 long long Options::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  MGG_REQUIRE(end != it->second.c_str() && *end == '\0',
-              "option --" + key + " expects an integer, got '" + it->second +
-                  "'");
-  MGG_REQUIRE(errno != ERANGE, "option --" + key + " is out of range: '" +
-                                   it->second + "'");
+  const std::string& text = it->second;
+  const char* const last = text.data() + text.size();
+  long long v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v, 10);
+  MGG_REQUIRE(ec != std::errc::invalid_argument && end == last,
+              "option --" + key + " expects an integer, got '" + text + "'");
+  MGG_REQUIRE(ec == std::errc{},
+              "option --" + key + " is out of range: '" + text + "'");
   return v;
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(it->second.c_str(), &end);
-  MGG_REQUIRE(end != it->second.c_str() && *end == '\0',
-              "option --" + key + " expects a number, got '" + it->second +
-                  "'");
-  MGG_REQUIRE(errno != ERANGE && std::isfinite(v),
+  const std::string& text = it->second;
+  const char* const last = text.data() + text.size();
+  double v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), last, v, std::chars_format::general);
+  MGG_REQUIRE(ec != std::errc::invalid_argument && end == last,
+              "option --" + key + " expects a number, got '" + text + "'");
+  MGG_REQUIRE(ec == std::errc{} && std::isfinite(v),
               "option --" + key + " expects a finite number in range, got '" +
-                  it->second + "'");
+                  text + "'");
   return v;
 }
 

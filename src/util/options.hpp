@@ -1,7 +1,8 @@
 // Tiny command-line option parser for examples and bench binaries.
 //
 // Accepts `--key=value`, `--key value`, and boolean flags `--key`.
-// Unknown positional arguments are collected in order.
+// Unknown positional arguments are collected in order. get_int and
+// get_double take a value only as a whole std::from_chars token.
 #pragma once
 
 #include <initializer_list>

@@ -2,6 +2,9 @@
 // its family's structural signature, and is deterministic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/datasets.hpp"
 #include "graph/properties.hpp"
 
@@ -42,6 +45,45 @@ TEST(Datasets, AllBuildAndAreWeighted) {
     if (spec.undirected) {
       EXPECT_TRUE(graph::is_symmetric(ds.graph)) << spec.name;
     }
+  }
+}
+
+// FNV-1a-64 over the bytes of row_offsets, then col_indices, then
+// edge_values.
+std::uint64_t fingerprint(const graph::Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const auto& array) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(array.data());
+    for (std::size_t i = 0; i < array.size() * sizeof(array[0]); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  mix(g.row_offsets);
+  mix(g.col_indices);
+  mix(g.edge_values);
+  return h;
+}
+
+TEST(Datasets, FingerprintsMatchParent) {
+  // Graph construction may get faster but must not move a byte: every
+  // result, W/H count and modeled time downstream depends on these
+  // arrays. One graph per generator family, both R-MAT parameter sets,
+  // and two directed builds.
+  const struct {
+    const char* name;
+    std::uint64_t fingerprint;
+  } pinned[] = {
+      {"soc-orkut", 0x9a0cd463884b321cULL},
+      {"rmat_n24_32", 0xd00edbb6324741beULL},
+      {"rmat_n22_128", 0xb6b4055041396f35ULL},
+      {"uk-2002", 0x3f7299362ce31f62ULL},
+      {"road-grid", 0xf4931ba8d3e6e8d7ULL},
+      {"kron_n23_16", 0xa8dfbeffcac13f6bULL},
+      {"twitter-rv", 0x5da17098cd28d2cdULL},      // directed
+      {"rmat_2Mv_128Me", 0xdee1e0dd2ba53099ULL},  // directed, Merrill
+  };
+  for (const auto& [name, want] : pinned) {
+    EXPECT_EQ(fingerprint(graph::build_dataset(name).graph), want) << name;
   }
 }
 

@@ -2,6 +2,12 @@
 // transpose, generators, and property measurement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/cpu_reference.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -39,6 +45,110 @@ TEST(Coo, RemoveDuplicatesKeepsFirstValue) {
   EXPECT_FLOAT_EQ(coo.values[0], 5.0f);
 }
 
+// The dedup's specification: std::stable_sort by (src, dst), then the
+// first edge of each run.
+template <typename CooT>
+CooT reference_dedup(const CooT& in) {
+  std::vector<std::size_t> order(in.src.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&in](std::size_t a, std::size_t b) {
+                     return std::pair(in.src[a], in.dst[a]) <
+                            std::pair(in.src[b], in.dst[b]);
+                   });
+  CooT out;
+  out.num_vertices = in.num_vertices;
+  for (const std::size_t e : order) {
+    if (!out.src.empty() && out.src.back() == in.src[e] &&
+        out.dst.back() == in.dst[e]) {
+      continue;
+    }
+    out.src.push_back(in.src[e]);
+    out.dst.push_back(in.dst[e]);
+    if (in.has_values()) out.values.push_back(in.values[e]);
+  }
+  return out;
+}
+
+// Seeded random COOs with self loops and runs of >= 3 duplicates
+// scattered through the input, each copy carrying its own weight.
+template <typename CooT>
+void expect_dedup_matches_reference(std::uint64_t seed) {
+  using V = typename CooT::VertexType;
+  using W = typename CooT::ValueType;
+  util::Rng rng(seed);
+  for (const V n : {V{1}, V{2}, V{64}, V{5000}}) {
+    for (const bool weighted : {false, true}) {
+      std::vector<std::pair<V, V>> edges;
+      const std::uint64_t distinct = 1 + rng.next_below(2 * n + 16);
+      for (std::uint64_t k = 0; k < distinct; ++k) {
+        const V u = static_cast<V>(rng.next_below(n));
+        const V v = rng.next_bool(0.1) ? u : static_cast<V>(rng.next_below(n));
+        const std::uint64_t copies =
+            rng.next_bool(0.2) ? 3 + rng.next_below(4) : 1;
+        for (std::uint64_t c = 0; c < copies; ++c) edges.emplace_back(u, v);
+      }
+      for (std::size_t i = edges.size(); i > 1; --i) {
+        std::swap(edges[i - 1], edges[rng.next_below(i)]);
+      }
+      CooT coo;
+      coo.num_vertices = n;
+      for (const auto& [u, v] : edges) {
+        if (weighted) {
+          coo.add_edge(u, v, static_cast<W>(coo.src.size()));
+        } else {
+          coo.add_edge(u, v);
+        }
+      }
+      const CooT want = reference_dedup(coo);
+      coo.remove_duplicates();
+      const std::string where = "seed " + std::to_string(seed) + ", V " +
+                                std::to_string(n) +
+                                (weighted ? ", weighted" : ", unweighted");
+      EXPECT_EQ(coo.src, want.src) << where;
+      EXPECT_EQ(coo.dst, want.dst) << where;
+      EXPECT_EQ(coo.values, want.values) << where;
+    }
+  }
+}
+
+TEST(Coo, RemoveDuplicatesMatchesStableSortReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_dedup_matches_reference<graph::Coo32>(seed);
+    expect_dedup_matches_reference<graph::Coo64>(seed);
+  }
+  GraphCoo empty;
+  empty.remove_duplicates();
+  EXPECT_EQ(empty.num_edges(), 0u);
+  EXPECT_FALSE(empty.has_values());
+}
+
+TEST(Coo, RemoveDuplicatesRejectsOutOfRangeEndpoint) {
+  // The counting sort indexes its counts by endpoint, so an endpoint
+  // past num_vertices is rejected before it is used, as validate() and
+  // from_coo reject it.
+  for (const bool bad_src : {true, false}) {
+    GraphCoo coo;
+    coo.num_vertices = 3;
+    coo.add_edge(0, 1);
+    if (bad_src) {
+      coo.add_edge(3, 0);
+    } else {
+      coo.add_edge(0, 7);
+    }
+    try {
+      coo.remove_duplicates();
+      ADD_FAILURE() << "out-of-range " << (bad_src ? "src" : "dst")
+                    << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::kInvalidArgument) << e.what();
+      EXPECT_NE(std::string(e.what()).find("edge endpoint out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Coo, SymmetrizePreservesWeights) {
   GraphCoo coo;
   coo.num_vertices = 2;
@@ -74,6 +184,48 @@ TEST(Csr, FromCooBasicStructure) {
   const auto n0 = g.neighbors(0);
   EXPECT_EQ(n0[0], 1u);
   EXPECT_EQ(n0[1], 2u);
+}
+
+TEST(Csr, FromCooOrdersDuplicateColumnsByValue) {
+  // Repeated columns reach from_coo in descending weight order: in an
+  // unsorted list (vertex 0) and in one whose columns alone are already
+  // sorted (vertex 1). Both come out in (column, value) order.
+  GraphCoo coo;
+  coo.num_vertices = 3;
+  coo.add_edge(0, 2, 5.0f);
+  coo.add_edge(0, 1, 9.0f);
+  coo.add_edge(0, 1, 7.0f);
+  coo.add_edge(0, 1, 4.0f);
+  coo.add_edge(1, 0, 3.0f);
+  coo.add_edge(1, 0, 2.0f);
+  coo.add_edge(1, 2, 1.0f);
+  coo.add_edge(2, 1, 6.0f);
+  const auto g = graph::Graph::from_coo(coo);
+  EXPECT_EQ(g.row_offsets, (std::vector<SizeT>{0, 4, 7, 8}));
+  EXPECT_EQ(g.col_indices, (std::vector<VertexT>{1, 1, 1, 2, 0, 0, 2, 1}));
+  EXPECT_EQ(g.edge_values,
+            (std::vector<ValueT>{4, 7, 9, 5, 2, 3, 1, 6}));
+
+  // A sorted input comes out unchanged, and so does the double
+  // transpose of the multigraph.
+  GraphCoo sorted;
+  sorted.num_vertices = g.num_vertices;
+  for (VertexT v = 0; v < g.num_vertices; ++v) {
+    for (SizeT e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
+      sorted.add_edge(v, g.col_indices[e], g.edge_values[e]);
+    }
+  }
+  EXPECT_TRUE(graph::Graph::from_coo(sorted) == g);
+  EXPECT_TRUE(g.transpose().transpose() == g);
+
+  // Unweighted repeated columns are sorted too.
+  GraphCoo plain;
+  plain.num_vertices = 2;
+  plain.add_edge(0, 1);
+  plain.add_edge(0, 0);
+  plain.add_edge(0, 1);
+  const auto p = graph::Graph::from_coo(plain);
+  EXPECT_EQ(p.col_indices, (std::vector<VertexT>{0, 1, 1}));
 }
 
 TEST(Csr, TransposeReversesEdges) {
@@ -161,11 +313,153 @@ TEST(Generators, RmatIsSkewed) {
   EXPECT_GT(g.max_degree(), 10 * g.average_degree());
 }
 
+// An edge count factor * 2^scale past SizeT is rejected as an invalid
+// argument naming scale and factor; converting it would be undefined
+// behaviour.
+template <typename Generate>
+void expect_edge_count_rejected(Generate generate, int scale, double factor,
+                                const std::string& factor_text) {
+  try {
+    generate(scale, factor);
+    ADD_FAILURE() << "scale " << scale << ", factor " << factor_text
+                  << " was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.status(), Status::kInvalidArgument) << what;
+    EXPECT_NE(what.find("scale " + std::to_string(scale)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("factor " + factor_text), std::string::npos) << what;
+  }
+}
+
 TEST(Generators, RmatRejectsBadParams) {
   EXPECT_THROW(graph::make_rmat(0, 8), Error);
   EXPECT_THROW(
       graph::make_rmat(8, 8, graph::RmatParams{0.5, 0.5, 0.5, 0.5}),
       Error);
+  const auto rmat = [](int scale, double factor) {
+    return graph::make_rmat(scale, factor);
+  };
+  expect_edge_count_rejected(rmat, 30, 64, "64");
+  expect_edge_count_rejected(rmat, 4, 268435456.5, "268435456.5");
+}
+
+TEST(Generators, KroneckerRejectsBadParams) {
+  EXPECT_THROW(graph::make_kronecker(0, 8), Error);
+  EXPECT_THROW(graph::make_kronecker(8, 0), Error);
+  EXPECT_THROW(
+      graph::make_kronecker(8, 8, graph::RmatParams{0.5, 0.5, 0.5, 0.5}),
+      Error);
+  const auto kronecker = [](int scale, double factor) {
+    return graph::make_kronecker(scale, factor);
+  };
+  expect_edge_count_rejected(kronecker, 30, 64, "64");
+  expect_edge_count_rejected(kronecker, 4, 268435456.5, "268435456.5");
+}
+
+// The quadrant choice as the else-if chain it replaced, for the
+// generators' branch-free descent to be checked against.
+void reference_quadrant(double r, double a, double b, double c, VertexT& u,
+                        VertexT& v) {
+  u <<= 1;
+  v <<= 1;
+  if (r < a) {
+  } else if (r < a + b) {
+    v |= 1;
+  } else if (r < a + b + c) {
+    u |= 1;
+  } else {
+    u |= 1;
+    v |= 1;
+  }
+}
+
+GraphCoo reference_rmat(int scale, double edge_factor,
+                        const graph::RmatParams& params, std::uint64_t seed,
+                        double noise) {
+  const VertexT n = VertexT{1} << scale;
+  const SizeT m = static_cast<SizeT>(edge_factor * static_cast<double>(n));
+  GraphCoo coo;
+  coo.num_vertices = n;
+  util::Rng rng(seed);
+  for (SizeT e = 0; e < m; ++e) {
+    VertexT u = 0, v = 0;
+    for (int level = 0; level < scale; ++level) {
+      double a = params.a * (1.0 + noise * (rng.next_double() - 0.5));
+      double b = params.b * (1.0 + noise * (rng.next_double() - 0.5));
+      double c = params.c * (1.0 + noise * (rng.next_double() - 0.5));
+      double d = params.d * (1.0 + noise * (rng.next_double() - 0.5));
+      const double norm = a + b + c + d;
+      a /= norm;
+      b /= norm;
+      c /= norm;
+      reference_quadrant(rng.next_double(), a, b, c, u, v);
+    }
+    coo.add_edge(u, v);
+  }
+  return coo;
+}
+
+GraphCoo reference_kronecker(int scale, double edges_per_vertex,
+                             const graph::RmatParams& initiator,
+                             std::uint64_t seed) {
+  const VertexT n = VertexT{1} << scale;
+  const SizeT m =
+      static_cast<SizeT>(edges_per_vertex * static_cast<double>(n));
+  GraphCoo coo;
+  coo.num_vertices = n;
+  util::Rng rng(seed);
+  for (SizeT e = 0; e < m; ++e) {
+    VertexT u = 0, v = 0;
+    for (int level = 0; level < scale; ++level) {
+      reference_quadrant(rng.next_double(), initiator.a, initiator.b,
+                         initiator.c, u, v);
+    }
+    coo.add_edge(u, v);
+  }
+  return coo;
+}
+
+const graph::RmatParams kDescentParams[] = {
+    graph::RmatParams::gtgraph(), graph::RmatParams::merrill(),
+    {0.25, 0.25, 0.25, 0.25}, {0.05, 0.05, 0.1, 0.8}};
+
+TEST(Generators, RmatMatchesReferenceDescent) {
+  // noise 3.0 perturbs probabilities below zero, where a descent that
+  // does not mirror the chain term by term picks other quadrants.
+  for (const int scale : {1, 6, 11}) {
+    for (const auto& params : kDescentParams) {
+      for (const double noise : {0.0, 0.1, 3.0}) {
+        for (const std::uint64_t seed : {1ULL, 42ULL, 987654321ULL}) {
+          const auto got = graph::make_rmat(scale, 4, params, seed, noise);
+          const auto want = reference_rmat(scale, 4, params, seed, noise);
+          EXPECT_EQ(got.num_vertices, want.num_vertices);
+          EXPECT_EQ(got.src, want.src) << "scale " << scale << ", a "
+                                       << params.a << ", noise " << noise
+                                       << ", seed " << seed;
+          EXPECT_EQ(got.dst, want.dst) << "scale " << scale << ", a "
+                                       << params.a << ", noise " << noise
+                                       << ", seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Generators, KroneckerMatchesReferenceDescent) {
+  for (const int scale : {1, 6, 11}) {
+    for (const auto& params : kDescentParams) {
+      for (const std::uint64_t seed : {1ULL, 42ULL, 987654321ULL}) {
+        const auto got = graph::make_kronecker(scale, 4, params, seed);
+        const auto want = reference_kronecker(scale, 4, params, seed);
+        EXPECT_EQ(got.num_vertices, want.num_vertices);
+        EXPECT_EQ(got.src, want.src)
+            << "scale " << scale << ", a " << params.a << ", seed " << seed;
+        EXPECT_EQ(got.dst, want.dst)
+            << "scale " << scale << ", a " << params.a << ", seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Generators, ChainShape) {

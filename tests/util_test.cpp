@@ -2,9 +2,12 @@
 // statistics, tables, options.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/array1d.hpp"
 #include "util/bitset.hpp"
@@ -324,6 +327,167 @@ TEST(Options, RejectsMalformedNumbers) {
   }
   for (const std::string key : {"huge", "inf", "nan"}) {
     expect_rejected([&] { return r.get_double(key, 0); }, key);
+  }
+
+  // A number is the whole token: no leading whitespace, no '+' and no
+  // hex float.
+  const char* token_argv[] = {"prog", "--space= 4", "--plus=+4",
+                              "--hex=0x1p3"};
+  util::Options t(4, const_cast<char**>(token_argv));
+  for (const std::string key : {"space", "plus"}) {
+    expect_rejected([&] { return t.get_int(key, 0); }, key);
+    expect_rejected([&] { return t.get_double(key, 0); }, key);
+  }
+  expect_rejected([&] { return t.get_double("hex", 0); }, "hex");
+}
+
+TEST(Options, ParseSurvivesSeededMutations) {
+  // Mutation fuzzing of Options: argv built from `--k=v`, `--k v`, bare
+  // flags and positionals, then damaged by character flips, insertions,
+  // deletions and truncations and by dropped or duplicated tokens. Every
+  // getter on every parsed key must return or throw
+  // Error(kInvalidArgument), and a number is accepted exactly when
+  // std::from_chars converts the whole value (to a finite double, for
+  // get_double), to the same value.
+  const std::vector<std::string> keys = {"gpus", "seed", "rate", "x", "a-b"};
+  const std::vector<std::string> values = {
+      "4",    "-17",  "0",     "0.5", "1e3",  "-2.5e-3", "1.",   ".5",
+      "e5",   "-",    "",      "inf", "nan",  "1e999",   "true", "off",
+      "metis", "+4",  " 4",    "4 ",  "0x1p3", "9223372036854775807",
+      "99999999999999999999"};
+  constexpr char kAlphabet[] = "-=+ .0123456789eExXpPinfatu";
+  constexpr std::uint64_t kSeeds = 1000;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    util::Rng rng(seed);
+    std::vector<std::string> args = {"prog"};
+    for (std::uint64_t k = 1 + rng.next_below(6); k > 0; --k) {
+      const std::string& key = keys[rng.next_below(keys.size())];
+      const std::string& value = values[rng.next_below(values.size())];
+      switch (rng.next_below(4)) {
+        case 0:
+          args.push_back("--" + key + "=" + value);
+          break;
+        case 1:
+          args.push_back("--" + key);
+          args.push_back(value);
+          break;
+        case 2:
+          args.push_back("--" + key);
+          break;
+        default:
+          args.push_back(value);
+          break;
+      }
+    }
+    const auto random_char = [&] {
+      return rng.next_bool(0.9)
+                 ? kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)]
+                 : static_cast<char>(1 + rng.next_below(255));
+    };
+    for (std::uint64_t m = 1 + rng.next_below(3); m > 0; --m) {
+      if (args.size() < 2) break;
+      const std::size_t i = 1 + rng.next_below(args.size() - 1);
+      std::string& token = args[i];
+      switch (rng.next_below(6)) {
+        case 0:  // replace one character
+          if (!token.empty()) token[rng.next_below(token.size())] = random_char();
+          break;
+        case 1:  // insert one character
+          token.insert(token.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.next_below(token.size() + 1)),
+                       random_char());
+          break;
+        case 2:  // delete one character
+          if (!token.empty()) {
+            token.erase(rng.next_below(token.size()), 1);
+          }
+          break;
+        case 3:  // truncate
+          token.resize(rng.next_below(token.size() + 1));
+          break;
+        case 4:  // drop the token
+          args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        default:  // duplicate the token somewhere else
+          args.insert(args.begin() + static_cast<std::ptrdiff_t>(
+                                         1 + rng.next_below(args.size())),
+                      std::string(token));
+          break;
+      }
+    }
+
+    std::string where = "seed " + std::to_string(seed) + ", argv [";
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      where += (i > 1 ? ", '" : "'") + args[i] + "'";
+    }
+    where += "]";
+    std::vector<char*> argv;
+    for (auto& arg : args) argv.push_back(arg.data());
+
+    try {
+      util::Options o(static_cast<int>(argv.size()), argv.data());
+      bool any_key = false;
+      for (std::size_t i = 1; i < args.size(); ++i) {
+        if (args[i].rfind("--", 0) != 0) continue;
+        const std::string key = args[i].substr(2, args[i].find('=') - 2);
+        if (!o.has(key)) continue;
+        any_key = true;
+        const std::string text = o.get_string(key, "");
+        const char* const last = text.data() + text.size();
+        const auto expect_rejection = [&](const Error& e, const char* getter) {
+          EXPECT_EQ(e.status(), Status::kInvalidArgument)
+              << where << ", " << getter << "(" << key << "): " << e.what();
+        };
+
+        long long want_int = 0;
+        const auto int_parse = std::from_chars(text.data(), last, want_int, 10);
+        const bool int_ok = int_parse.ec == std::errc{} && int_parse.ptr == last;
+        try {
+          const long long got = o.get_int(key, 0);
+          EXPECT_TRUE(int_ok) << where << ": get_int accepted '" << text << "'";
+          if (int_ok) {
+            EXPECT_EQ(got, want_int) << where;
+          }
+        } catch (const Error& e) {
+          expect_rejection(e, "get_int");
+          EXPECT_FALSE(int_ok) << where << ": get_int rejected '" << text << "'";
+        }
+
+        double want_double = 0;
+        const auto double_parse = std::from_chars(
+            text.data(), last, want_double, std::chars_format::general);
+        const bool double_ok = double_parse.ec == std::errc{} &&
+                               double_parse.ptr == last &&
+                               std::isfinite(want_double);
+        try {
+          const double got = o.get_double(key, 0);
+          EXPECT_TRUE(double_ok)
+              << where << ": get_double accepted '" << text << "'";
+          if (double_ok) {
+            EXPECT_EQ(got, want_double) << where;
+          }
+        } catch (const Error& e) {
+          expect_rejection(e, "get_double");
+          EXPECT_FALSE(double_ok)
+              << where << ": get_double rejected '" << text << "'";
+        }
+
+        try {
+          o.get_bool(key, false);
+        } catch (const Error& e) {
+          expect_rejection(e, "get_bool");
+        }
+      }
+      try {
+        o.check_unknown({});
+        EXPECT_FALSE(any_key) << where << ": check_unknown({}) passed";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.status(), Status::kInvalidArgument) << where;
+        EXPECT_TRUE(any_key) << where << ": " << e.what();
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << ": untyped exception: " << e.what();
+    }
   }
 }
 
