@@ -1,21 +1,31 @@
 #!/usr/bin/env bash
-# Full pre-merge check: the tier-1 verify from ROADMAP.md, then a
-# ThreadSanitizer build of the concurrency-sensitive suites (the comm
-# layer, the enactor's control threads, the handshake table and fault
-# paths), then an AddressSanitizer + UndefinedBehaviorSanitizer build
-# running every test.
+# Full pre-merge check: the tier-1 verify from ROADMAP.md, a -Werror
+# build of the library, then a ThreadSanitizer build of the
+# concurrency-sensitive suites (the comm layer, the enactor's control
+# threads, the handshake table and fault paths), then an
+# AddressSanitizer + UndefinedBehaviorSanitizer build running every
+# test.
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
+#                         [werror-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
 ASAN_BUILD="${3:-build-asan}"
+WERROR_BUILD="${4:-build-werror}"
 
 echo "==> tier-1: configure + build + ctest"
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
+
+echo "==> -Werror: build the mgg library with MGG_WERROR=ON"
+# The library alone: GCC 12 still raises false positives in some test
+# and bench sources (see ROADMAP.md), so those targets are left out.
+cmake -B "$WERROR_BUILD" -S . -DMGG_WERROR=ON -DMGG_BUILD_TESTS=OFF \
+  -DMGG_BUILD_BENCH=OFF -DMGG_BUILD_EXAMPLES=OFF
+cmake --build "$WERROR_BUILD" -j --target mgg
 
 echo "==> perfbench harness self-tests"
 # The benchmark's metric reduction and comparison logic (percentiles,

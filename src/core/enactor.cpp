@@ -29,8 +29,10 @@ EnactorBase::EnactorBase(ProblemBase& problem)
 
     // The split (non-fused) pipeline keeps an intermediate advance
     // buffer whose size is the allocation scheme's signature (§VI-B):
-    // worst case |E_i| for max, a sizing factor for fixed, nothing for
-    // the fused schemes (they never materialize it).
+    // worst case |E_i| for max, a sizing factor for fixed (grown to the
+    // advance's degree sum when that is larger), nothing for the fused
+    // schemes. It is modeled device memory only: the split advance
+    // sizes it but never writes it (core/operators.hpp).
     s->advance_temp.set_allocator(&s->device->memory());
     s->advance_temp_edges.set_allocator(&s->device->memory());
     if (cfg.scheme == vgpu::AllocationScheme::kMax) {

@@ -17,11 +17,15 @@
 //     mask caps emissions at |V_i|, no separate sizing scan is needed:
 //     the edge work is accumulated during the traversal itself.
 //
-//   split (fixed, max): the classic two-kernel pipeline — advance
-//     materializes every (src, edge) candidate into an intermediate
-//     buffer sized exactly by a degree scan (degree_scan_into), then
-//     filter applies the functor and compacts the survivors. This is
-//     what Fig. 3 measures against.
+//   split (fixed, max): the classic two-kernel pipeline as the model
+//     and the memory manager see it — a degree scan (degree_scan_into)
+//     sizes the intermediate O(|E|) candidate buffers, an "advance"
+//     kernel charges the edges, and a "filter_compact" kernel charges
+//     the candidates. This is what Fig. 3 measures against. On the
+//     host the candidates are never written out: the same walk as
+//     fused hands the functor the identical (src, edge) sequence, so
+//     the buffers stay allocated (the scheme's modeled memory) but
+//     untouched.
 //
 // Orthogonally, when OpContext::dense_threshold is enabled and the
 // input frontier covers more than that fraction of |V_i|, the advance
@@ -36,11 +40,12 @@
 // vertices so a vertex can stop scanning edges as soon as it finds a
 // valid parent ("edge skipping").
 //
-// Every pipeline's edge loop is a scan over a range of its input units
-// (dense bitmap words, fused frontier slots, split candidates) that one
-// scheduler, detail::two_phase, runs either whole (the sequential loop)
-// or per chunk. The sparse pipelines share one commit tail,
-// detail::finish_sparse.
+// There are two edge loops, each a scan over a range of its input units
+// (dense bitmap words, sparse frontier slots) that one scheduler,
+// detail::two_phase, runs either whole (the sequential loop) or per
+// chunk. Both sparse pipelines run the one sparse walk,
+// detail::advance_sparse, and differ only in the sizing and charges
+// around it.
 //
 // Host parallelism (docs/architecture.md §12): when OpContext::pool is
 // set, the (test, op) advance_filter form runs that walk as a two-phase
@@ -113,7 +118,9 @@ struct OpContext {
   vgpu::Device* device = nullptr;
   const graph::Graph* g = nullptr;  ///< the GPU's local CSR
   Frontier* frontier = nullptr;
-  util::Array1D<VertexT>* advance_temp = nullptr;   ///< split pipeline only
+  /// The split pipeline's intermediate candidate buffers: sized per
+  /// advance (Fig. 3's device memory), never written.
+  util::Array1D<VertexT>* advance_temp = nullptr;
   util::Array1D<SizeT>* advance_temp_edges = nullptr;
   util::AtomicBitset* dedup = nullptr;  ///< |V_i|-sized emission mask
   vgpu::AllocationScheme scheme = vgpu::AllocationScheme::kPreallocFusion;
@@ -133,8 +140,8 @@ struct OpContext {
   /// Slice-owned load-balancing scratch (degree scan + worker chunks),
   /// reused across launches so imbalance accounting performs no
   /// per-launch heap allocations in steady state.
-  util::PodVector<SizeT> lb_scan;
-  util::PodVector<WorkChunk> lb_chunks;
+  util::PodVector<SizeT> lb_scan{};
+  util::PodVector<WorkChunk> lb_chunks{};
   /// Host worker pool backing the parallel execution substrate; null
   /// means every operator runs its historical sequential loop. Either
   /// way the results, W, H, and modeled times are bit-identical — the
@@ -143,7 +150,7 @@ struct OpContext {
   util::ThreadPool* pool = nullptr;
   /// Per-chunk scratch of the two-phase parallel advance (grow-only,
   /// reused across launches).
-  std::vector<AdvanceChunk> par_chunks;
+  std::vector<AdvanceChunk> par_chunks{};
 
   bool fused() const {
     return scheme == vgpu::AllocationScheme::kJustEnough ||
@@ -165,9 +172,8 @@ namespace detail {
 // Chunk grains of the parallel phase. Chunk counts are pure functions
 // of the work size (util::ThreadPool::chunk_count), never of the pool
 // width — the cross-thread-count determinism contract.
-inline constexpr std::size_t kSlotGrain = 256;   ///< frontier slots
-inline constexpr std::size_t kWordGrain = 64;    ///< dense bitmap words
-inline constexpr std::size_t kItemGrain = 4096;  ///< flat array items
+inline constexpr std::size_t kSlotGrain = 256;  ///< frontier slots
+inline constexpr std::size_t kWordGrain = 64;   ///< dense bitmap words
 
 /// Grow (never shrink) the chunk scratch and reset the first n slots.
 inline std::vector<AdvanceChunk>& ensure_chunks(OpContext& ctx,
@@ -235,40 +241,6 @@ inline bool prepare_advance(OpContext& ctx) {
   return frontier.input_dense();
 }
 
-/// Split-pipeline advance kernel: materialize every (src, edge)
-/// candidate of the input frontier into the intermediate buffers and
-/// charge the sizing-pass work. With a pool the scatter runs in
-/// parallel off the degree scan's exact per-slot offsets, producing
-/// the identical buffer layout as the sequential fill. Returns the
-/// candidate count.
-inline SizeT split_materialize(OpContext& ctx,
-                               std::span<const VertexT> input) {
-  const graph::Graph& g = *ctx.g;
-  degree_scan_into(g, input, ctx.lb_scan, ctx.pool);
-  const SizeT work = input.empty() ? 0 : ctx.lb_scan.back();
-  util::Array1D<VertexT>& temp = *ctx.advance_temp;
-  util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
-  temp.ensure_size(work);
-  temp_edges.ensure_size(work);
-  util::parallel_for(
-      ctx.pool, input.size(), kSlotGrain,
-      [&](std::size_t b, std::size_t end, std::size_t) {
-        for (std::size_t slot = b; slot < end; ++slot) {
-          const VertexT src = input[slot];
-          SizeT at = ctx.lb_scan[slot];
-          const auto [begin, last] = g.edge_range(src);
-          for (SizeT e = begin; e < last; ++e) {
-            temp[at] = src;
-            temp_edges[at] = e;
-            ++at;
-          }
-        }
-      });
-  ctx.device->add_kernel_cost(work, input.size(), 1,
-                              advance_imbalance(ctx, input), "advance");
-  return work;
-}
-
 /// Calls visit(src, dst, edge) over src's out-edges in CSR order and
 /// returns its degree (the edge work).
 template <typename Visit>
@@ -280,9 +252,8 @@ SizeT walk_edges(const graph::Graph& g, VertexT src, Visit& visit) {
 
 /// The one scheduler behind every advance pipeline. The pipeline's loop
 /// is `scan(first, last, visit)`: it walks input units [first, last)
-/// (bitmap words, frontier slots or split candidates) in the sequential
-/// order, calls visit(src, dst, edge) per candidate edge and returns
-/// the edge work.
+/// (bitmap words or frontier slots) in the sequential order, calls
+/// visit(src, dst, edge) per candidate edge and returns the edge work.
 ///
 /// Without a test (the bare advance_filter form), without a pool, or
 /// when the fixed `grain` plan has one chunk, this is the sequential
@@ -374,15 +345,34 @@ SizeT advance_dense(OpContext& ctx, const TestOp& test, EdgeOp& op) {
   return produced;
 }
 
-/// Fused advance+filter (§VI-C): one pass over the input's edges and no
-/// sizing scan — the dedup mask caps the output at |V_i|, so the bound
-/// is known without touching an edge, and the edge work is summed as
-/// the walk goes.
+/// Sparse advance: one walk over the input frontier, slot by slot and
+/// each slot's edges in CSR order, for both sparse pipelines.
+///
+/// Fused (§VI-C) needs no sizing scan — the dedup mask caps the output
+/// at |V_i|, so the bound is known without touching an edge — and sums
+/// the edge work as the walk goes into one "advance_filter" kernel.
+///
+/// Split sizes the Fig. 3 intermediate buffers to the degree sum
+/// (allocation and OOM sites included), charges the "advance" kernel,
+/// bounds the output by the candidate count, and after the walk charges
+/// the vertex-shaped "filter_compact" kernel over those candidates. The
+/// buffers are never written: the walk hands op the (src, edge)
+/// sequence a scatter and read-back of them would.
 template <typename TestOp, typename EdgeOp>
-SizeT advance_fused(OpContext& ctx, std::span<const VertexT> input,
-                    const TestOp& test, EdgeOp& op) {
+SizeT advance_sparse(OpContext& ctx, const TestOp& test, EdgeOp& op) {
   const graph::Graph& g = *ctx.g;
-  VertexT* out = ctx.frontier->request_output(g.num_vertices);
+  const auto input = ctx.frontier->input();
+  SizeT bound = g.num_vertices;
+  if (!ctx.fused()) {
+    degree_scan_into(g, input, ctx.lb_scan, ctx.pool);
+    const SizeT n_raw = ctx.lb_scan.back();
+    ctx.advance_temp->ensure_size(n_raw);
+    ctx.advance_temp_edges->ensure_size(n_raw);
+    ctx.device->add_kernel_cost(n_raw, input.size(), 1,
+                                advance_imbalance(ctx, input), "advance");
+    bound = std::min(n_raw, bound);
+  }
+  VertexT* out = ctx.frontier->request_output(bound);
   SizeT produced = 0;
   const SizeT work = two_phase(
       ctx, input.size(), kSlotGrain, test, op,
@@ -396,36 +386,12 @@ SizeT advance_fused(OpContext& ctx, std::span<const VertexT> input,
       [&](VertexT dst) {
         if (ctx.dedup->test_and_set(dst)) out[produced++] = dst;
       });
-  return finish_sparse(ctx, out, produced, work, input.size(),
-                       advance_imbalance(ctx, input), "advance_filter");
-}
-
-/// Split-pipeline filter: apply op to the n_raw candidates
-/// split_materialize wrote, in buffer order, and compact the
-/// deduplicated survivors. Its work is vertex-shaped: the advance
-/// kernel already charged the edges.
-template <typename TestOp, typename EdgeOp>
-SizeT filter_candidates(OpContext& ctx, SizeT n_raw, const TestOp& test,
-                        EdgeOp& op) {
-  const graph::Graph& g = *ctx.g;
-  const util::Array1D<VertexT>& temp = *ctx.advance_temp;
-  const util::Array1D<SizeT>& temp_edges = *ctx.advance_temp_edges;
-  VertexT* out =
-      ctx.frontier->request_output(std::min<SizeT>(n_raw, g.num_vertices));
-  SizeT produced = 0;
-  two_phase(
-      ctx, n_raw, kItemGrain, test, op,
-      [&](std::size_t first, std::size_t last, auto&& visit) {
-        for (std::size_t i = first; i < last; ++i) {
-          const SizeT e = temp_edges[i];
-          visit(temp[i], g.col_indices[e], e);
-        }
-        return SizeT{0};
-      },
-      [&](VertexT dst) {
-        if (ctx.dedup->test_and_set(dst)) out[produced++] = dst;
-      });
-  return finish_sparse(ctx, out, produced, 0, n_raw, 1.0, "filter_compact");
+  if (ctx.fused()) {
+    return finish_sparse(ctx, out, produced, work, input.size(),
+                         advance_imbalance(ctx, input), "advance_filter");
+  }
+  // The walk's edge work is the split's candidate count.
+  return finish_sparse(ctx, out, produced, 0, work, 1.0, "filter_compact");
 }
 
 /// The kernel pick behind both advance_filter forms; `test` is nullptr
@@ -433,9 +399,7 @@ SizeT filter_candidates(OpContext& ctx, SizeT n_raw, const TestOp& test,
 template <typename TestOp, typename EdgeOp>
 SizeT advance(OpContext& ctx, const TestOp& test, EdgeOp& op) {
   if (prepare_advance(ctx)) return advance_dense(ctx, test, op);
-  const auto input = ctx.frontier->input();
-  if (ctx.fused()) return advance_fused(ctx, input, test, op);
-  return filter_candidates(ctx, split_materialize(ctx, input), test, op);
+  return advance_sparse(ctx, test, op);
 }
 
 }  // namespace detail
@@ -471,11 +435,11 @@ SizeT advance_filter(OpContext& ctx, EdgeOp&& op) {
 /// archetype: test = "labels[dst] still unvisited"; every edge failing
 /// it is a no-op in the sequential loop.
 ///
-/// Each pipeline (dense, fused, split filter) runs through
-/// detail::two_phase: a parallel phase over fixed, thread-count-
-/// independent chunks of its input sums the edge work and logs the
-/// candidates that pass `test`, then `op` (with the dedup and output
-/// writes) replays over the logs in chunk order — the original
+/// Each pipeline (dense, fused, split) runs through detail::two_phase:
+/// a parallel phase over fixed, thread-count-independent chunks of its
+/// input sums the edge work and logs the candidates that pass `test`,
+/// then `op` (with the dedup and output writes) replays over the logs
+/// in chunk order — the original
 /// sequential loop over exactly the edges whose functor call was not a
 /// no-op. Results, W, dedup decisions and every floating-point
 /// accumulation `op` performs (PR's rank pushes, BC's sigma sums) are

@@ -41,7 +41,7 @@ TEST(Bfs2d, MatchesOracleOnGrids) {
   const auto g = test::small_rmat();
   const VertexT src = first_connected_vertex(g);
   const auto expected = baselines::cpu_bfs(g, src);
-  for (const auto [rows, cols] : {std::pair{1, 1}, {1, 2}, {2, 2}}) {
+  for (const auto& [rows, cols] : {std::pair{1, 1}, {1, 2}, {2, 2}}) {
     auto machine = test::test_machine(rows * cols);
     const auto result = baselines::bfs_2d(g, src, machine, rows, cols);
     EXPECT_EQ(result.labels, expected) << rows << "x" << cols;

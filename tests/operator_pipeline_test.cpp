@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include "core/enactor.hpp"
@@ -114,6 +116,174 @@ TEST(OperatorPipeline, SingleAdvanceAgreesAcrossPipelinesAndPolicies) {
         }
       }
     }
+  }
+}
+
+// The split scheme sizes its intermediate candidate buffers (Fig. 3's
+// memory) and charges both of its kernels, but its advance is the
+// fused walk: the buffers are never written, and the output frontier
+// (emission order included) and the edge work equal the fused
+// pipeline's, in both advance_filter forms, with and without a pool.
+TEST(OperatorPipeline, SplitSizesButNeverWritesItsBuffers) {
+  const auto g = test::small_rmat(12, 8, 5);
+  std::vector<VertexT> seed;
+  for (VertexT v = 0; v < g.num_vertices; v += 2) {
+    if (g.degree(v) > 0) seed.push_back(v);
+  }
+  ASSERT_GT(seed.size(), 2 * core::detail::kSlotGrain);  // several chunks
+  SizeT degree_sum = 0;
+  for (const VertexT v : seed) degree_sum += g.degree(v);
+
+  struct Advance {
+    std::vector<VertexT> out;  ///< emission order
+    vgpu::IterationCounters counters;
+  };
+  auto run = [&](PipelineEnv& env, bool with_test, util::ThreadPool* pool) {
+    env.ctx.pool = pool;
+    env.machine.device(0).harvest_iteration();
+    env.frontier.clear();
+    env.frontier.set_input(seed);
+    std::vector<char> visited(g.num_vertices, 0);
+    const auto test = [&](VertexT, VertexT dst, SizeT) {
+      return visited[dst] == 0;
+    };
+    const auto op = [&](VertexT, VertexT dst, SizeT) {
+      if (visited[dst]) return false;
+      visited[dst] = 1;
+      return true;
+    };
+    if (with_test) {
+      core::advance_filter(env.ctx, test, op);
+    } else {
+      core::advance_filter(env.ctx, op);
+    }
+    Advance a;
+    env.frontier.for_each_output([&](VertexT v) { a.out.push_back(v); });
+    a.counters = env.machine.device(0).harvest_iteration();
+    return a;
+  };
+
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  pool.set_workers(4);
+  PipelineEnv fused(g, AllocationScheme::kPreallocFusion, 0.0,
+                    LoadBalance::kEdgeBalanced);
+  const Advance ref = run(fused, false, nullptr);
+  ASSERT_FALSE(ref.out.empty());
+  EXPECT_EQ(ref.counters.edges, degree_sum);
+  EXPECT_EQ(ref.counters.launches, 1u);
+
+  constexpr VertexT kVertexSentinel = 0xA5A5A5A5u;
+  const SizeT edge_sentinel = static_cast<SizeT>(0x5A5A5A5A5A5A5A5Aull);
+  for (const AllocationScheme scheme :
+       {AllocationScheme::kMax, AllocationScheme::kFixedPrealloc}) {
+    // kMax starts at |E|; kFixedPrealloc starts empty here, so its first
+    // advance sizes both buffers to the degree sum.
+    PipelineEnv env(g, scheme, 0.0, LoadBalance::kEdgeBalanced);
+    std::vector<Advance> runs{run(env, false, nullptr)};
+    const std::string name = vgpu::to_string(scheme);
+    EXPECT_GE(env.temp.capacity(), degree_sum) << name;
+    EXPECT_GE(env.temp_edges.capacity(), degree_sum) << name;
+    env.temp.fill(kVertexSentinel);
+    env.temp_edges.fill(edge_sentinel);
+    for (const bool with_test : {false, true}) {
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        runs.push_back(run(env, with_test, p));
+      }
+    }
+    EXPECT_GT(env.ctx.par_scratch_bytes(), 0u) << name;  // pool walk ran
+    EXPECT_TRUE(std::all_of(env.temp.begin(), env.temp.end(),
+                            [&](VertexT v) { return v == kVertexSentinel; }))
+        << name;
+    EXPECT_TRUE(std::all_of(env.temp_edges.begin(), env.temp_edges.end(),
+                            [&](SizeT e) { return e == edge_sentinel; }))
+        << name;
+    for (const Advance& a : runs) {
+      EXPECT_EQ(a.out, ref.out) << name;
+      EXPECT_EQ(a.counters.edges, ref.counters.edges) << name;
+      // "advance" over the input, then "filter_compact" over the
+      // candidates.
+      EXPECT_EQ(a.counters.launches, 2u) << name;
+      EXPECT_EQ(a.counters.vertices, seed.size() + degree_sum) << name;
+      EXPECT_EQ(a.counters.compute_s, runs[0].counters.compute_s) << name;
+    }
+  }
+  pool.set_workers(1);
+}
+
+// Whole split-scheme runs pinned to the values of the two-kernel
+// pipeline that scattered every candidate into the intermediate buffers
+// and read them back: walking the frontier instead changes no count,
+// byte, modeled second (bit pattern), peak device byte, or frontier or
+// intermediate-buffer reallocation.
+TEST(OperatorPipeline, SplitSchemesMatchParent) {
+  const auto g = test::small_rmat(13, 8);
+  const VertexT src = test::first_connected_vertex(g);
+  struct Pinned {
+    const char* run;
+    AllocationScheme scheme;
+    std::uint64_t iterations, edges, launches, comm_bytes, modeled_bits;
+    std::size_t peak_bytes;  ///< summed over the vGPUs
+    std::size_t reallocs;    ///< frontier + intermediate buffers
+  };
+  constexpr Pinned kPinned[] = {
+      {"bfs", AllocationScheme::kFixedPrealloc, 5, 110498, 100, 46592,
+       4564015405830007562u, 1861800, 8},
+      {"bfs", AllocationScheme::kMax, 5, 110498, 100, 46592,
+       4564015405830007562u, 2472832, 0},
+      {"pr", AllocationScheme::kFixedPrealloc, 18, 1989144, 500, 1678320,
+       4576175043021751935u, 2257352, 8},
+      {"pr", AllocationScheme::kMax, 18, 1989144, 500, 1678320,
+       4576175043021751935u, 2636672, 0},
+  };
+  constexpr int kGpus = 4;
+  for (const Pinned& p : kPinned) {
+    core::Config cfg = test::config_for(kGpus);
+    cfg.scheme = p.scheme;
+    auto machine = test::test_machine(kGpus);
+    vgpu::RunStats stats;
+    std::size_t reallocs = 0;
+    auto enact = [&](core::EnactorBase& enactor) {
+      stats = enactor.enact();
+      for (int gpu = 0; gpu < kGpus; ++gpu) {
+        const core::EnactorBase::Slice& s = enactor.slice(gpu);
+        reallocs += s.frontier.realloc_count() +
+                    s.advance_temp.realloc_count() +
+                    s.advance_temp_edges.realloc_count();
+      }
+    };
+    if (std::string(p.run) == "bfs") {
+      prim::BfsProblem problem;
+      problem.init(g, machine, cfg);
+      prim::BfsEnactor enactor(problem);
+      enactor.reset(src);
+      enact(enactor);
+    } else {
+      // run_pagerank's iteration cap: one more than the option's.
+      const prim::PagerankOptions options;
+      cfg.max_iterations =
+          static_cast<std::uint64_t>(options.max_iterations) + 1;
+      prim::PagerankProblem problem;
+      problem.init(g, machine, cfg);
+      prim::PagerankEnactor enactor(problem, options);
+      enactor.reset();
+      enact(enactor);
+    }
+    std::size_t peak_bytes = 0;
+    for (int gpu = 0; gpu < kGpus; ++gpu) {
+      peak_bytes += machine.device(gpu).memory().peak_bytes();
+    }
+    const std::string name =
+        std::string(p.run) + " " + vgpu::to_string(p.scheme);
+    EXPECT_EQ(stats.iterations, p.iterations) << name;
+    EXPECT_EQ(stats.total_edges, p.edges) << name;
+    EXPECT_EQ(stats.total_launches, p.launches) << name;
+    EXPECT_EQ(stats.total_comm_bytes, p.comm_bytes) << name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.modeled_total_s()),
+              p.modeled_bits)
+        << name;
+    EXPECT_EQ(peak_bytes, p.peak_bytes) << name;
+    EXPECT_EQ(reallocs, p.reallocs) << name;
   }
 }
 

@@ -313,7 +313,9 @@ TEST(ServeChaos, RestartBudgetExhaustionQuarantinesButServiceSurvives) {
   EXPECT_EQ(s.lanes[0].state, LaneState::kQuarantined);
   EXPECT_EQ(s.lanes[1].state, LaneState::kHealthy);
   for (const auto& r : results) {
-    if (r.status == Status::kOk) EXPECT_EQ(r.lane, 1);
+    if (r.status == Status::kOk) {
+      EXPECT_EQ(r.lane, 1);
+    }
   }
   expect_answers_identical(queries, results);
 }

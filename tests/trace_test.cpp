@@ -275,7 +275,9 @@ TEST(Trace, DifferentialBfs) {
       EXPECT_EQ(plain.labels, traced.labels) << what;
       EXPECT_EQ(plain.preds, traced.preds) << what;
       expect_stats_identical(plain.stats, traced.stats, what);
-      if (gpus > 1) EXPECT_GT(tracer.span_count(), 0u) << what;
+      if (gpus > 1) {
+        EXPECT_GT(tracer.span_count(), 0u) << what;
+      }
       EXPECT_EQ(tracer.supersteps().size(), traced.stats.iterations) << what;
     }
   }

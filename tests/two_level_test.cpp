@@ -122,7 +122,7 @@ TEST(Hierarchy, LinkClassificationMatrix) {
 }
 
 TEST(Hierarchy, GatewayElectionIsDeterministicAndInSourceNode) {
-  for (const auto [gpus_per_node, nodes] : {std::pair{4, 2}, {2, 4}}) {
+  for (const auto& [gpus_per_node, nodes] : {std::pair{4, 2}, {2, 4}}) {
     auto machine =
         vgpu::Machine::create_cluster("k40", gpus_per_node, nodes);
     const Interconnect& net = machine.interconnect();
