@@ -46,12 +46,9 @@ namespace {
 
 using namespace mgg;
 
-// kAuto knobs for the gate cells: dense frontiers give the ascending
-// sequences the bitmap codec needs, and the relaxed density switch
-// point keeps it engaged at 8-way bucket fan-out (1/16 is tuned for 4
-// vGPUs; an 8-GPU bucket holds half the vertices per peer).
+// Dense frontiers give the gate cells the ascending sequences the
+// bitmap codec needs.
 constexpr double kDenseThreshold = 0.05;
-constexpr double kWireDensity = 0.02;
 
 struct Shape {
   const char* name;
@@ -102,7 +99,6 @@ core::Config cell_config(const std::string& primitive, int num_gpus,
   cfg.wire_format = wf;
   cfg.two_level_combine = two_level;
   cfg.dense_threshold = kDenseThreshold;  // only dense-capable prims honor it
-  cfg.wire_density_threshold = kWireDensity;
   return cfg;
 }
 

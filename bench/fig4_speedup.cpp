@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
         speedups.push_back(ms[primitive][name][1] /
                            ms[primitive][name][gpus]);
       }
-      row.push_back(util::geometric_mean(speedups));
+      row.emplace_back(util::geometric_mean(speedups));
     }
-    row.push_back(paper_at_6.at(primitive));
+    row.emplace_back(paper_at_6.at(primitive));
     table.add_row(std::move(row));
   }
   bench::emit(table, options);

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
           if (primitive == "pr") {
             gteps *= static_cast<double>(outcome.stats.iterations);
           }
-          row.push_back(gteps);
+          row.emplace_back(gteps);
         }
         table.add_row(std::move(row));
       }

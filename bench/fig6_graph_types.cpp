@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     for (const std::string family : {"all", "rmat", "soc", "web"}) {
       std::vector<util::Cell> row = {primitive, family};
       for (int gpus = 2; gpus <= max_gpus; ++gpus) {
-        row.push_back(util::geometric_mean(speedups[family][gpus]));
+        row.emplace_back(util::geometric_mean(speedups[family][gpus]));
       }
       table.add_row(std::move(row));
     }

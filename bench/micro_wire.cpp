@@ -16,6 +16,8 @@
 //  * bit-identical results + item counts for every cell (above);
 //  * per-format byte split sums to total_comm_bytes, encoded ==
 //    decoded vertex counts;
+//  * kAuto ships no more bytes than any single-format row of its sync
+//    mode (it picks the smallest encoding per message);
 //  * kAuto at 4 vGPUs (BSP) cuts total_comm_bytes by >= 30% vs raw;
 //  * the gate is non-vacuous: that same run must exercise BOTH
 //    compressed codecs (wire_bytes_bitmap > 0 AND wire_bytes_delta
@@ -25,6 +27,7 @@
 // Flags: --scale=N rmat scale (default 10), --edge-factor=N (default
 //        16), --csv=PATH. (--wire-format from the common flag set is
 //        ignored here: this binary's whole point is to sweep formats.)
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -99,6 +102,9 @@ int main(int argc, char** argv) {
   for (const core::SyncMode mode :
        {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
     const Cell base = run_cell(g, src, core::WireFormat::kRawIds, mode);
+    // Smallest byte total of the single-format rows (raw, bitmap and
+    // varint run before auto).
+    std::uint64_t single_format_min = base.stats.total_comm_bytes;
     for (const core::WireFormat f :
          {core::WireFormat::kRawIds, core::WireFormat::kBitmap,
           core::WireFormat::kDeltaVarint, core::WireFormat::kAuto}) {
@@ -130,6 +136,12 @@ int main(int argc, char** argv) {
                   "encoded != decoded vertex count", label);
       ok &= check(s.total_comm_bytes <= base.stats.total_comm_bytes,
                   "compressed run shipped more bytes than raw", label);
+      if (f == core::WireFormat::kAuto) {
+        ok &= check(s.total_comm_bytes <= single_format_min,
+                    "kAuto shipped more bytes than a single format", label);
+      } else {
+        single_format_min = std::min(single_format_min, s.total_comm_bytes);
+      }
       const double vs_raw =
           base.stats.total_comm_bytes == 0
               ? 0.0

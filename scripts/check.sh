@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the tier-1 verify from ROADMAP.md, a -Werror
-# build of the library, then a ThreadSanitizer build of the
+# build of every target, then a ThreadSanitizer build of the
 # concurrency-sensitive suites (the comm layer, the enactor's control
 # threads, the handshake table and fault paths), then an
 # AddressSanitizer + UndefinedBehaviorSanitizer build running every
@@ -20,17 +20,23 @@ cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
 
-echo "==> -Werror: build the mgg library with MGG_WERROR=ON"
-# The library alone: GCC 12 still raises false positives in some test
-# and bench sources (see ROADMAP.md), so those targets are left out.
-cmake -B "$WERROR_BUILD" -S . -DMGG_WERROR=ON -DMGG_BUILD_TESTS=OFF \
-  -DMGG_BUILD_BENCH=OFF -DMGG_BUILD_EXAMPLES=OFF
-cmake --build "$WERROR_BUILD" -j --target mgg
+echo "==> -Werror: build every target with MGG_WERROR=ON"
+cmake -B "$WERROR_BUILD" -S . -DMGG_WERROR=ON -DMGG_BUILD_TESTS=ON \
+  -DMGG_BUILD_BENCH=ON -DMGG_BUILD_EXAMPLES=ON
+cmake --build "$WERROR_BUILD" -j
 
 echo "==> perfbench harness self-tests"
 # The benchmark's metric reduction and comparison logic (percentiles,
 # spreads, verdicts), checked on fixed inputs; no build needed.
 python3 perfbench/test_metrics.py
+
+echo "==> configuration-space differential (explicit)"
+# Seeded draws over the whole knob product: each run checked against
+# the CPU oracle and, per differential knob set away from its default,
+# against a rerun with that knob reset; failures print the draw index,
+# its seed and its config. DrawsCoverEveryKnobPair proves the draws
+# cover every knob value with every primitive and every knob pair.
+"$BUILD/tests/mgg_tests" --gtest_filter='*ConfigSpace.*'
 
 echo "==> operator-pipeline property suite (explicit)"
 "$BUILD/tests/mgg_tests" --gtest_filter='OperatorPipeline.*'
@@ -180,6 +186,9 @@ TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
 # and recycles it from the closing control thread and bumps the
 # link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
+# The configuration-space draws run every primitive under every knob,
+# pool widths and both schedules included.
+TSAN_FILTER+=':*ConfigSpace.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
 
 echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined,float-cast-overflow"

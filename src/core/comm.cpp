@@ -176,6 +176,18 @@ void encode_bitmap(Message& msg, util::ThreadPool* pool) {
       });
 }
 
+/// Bytes encode_delta_varint emits for `v`, without emitting them.
+std::size_t delta_varint_bytes(const util::PodVector<VertexT>& v) noexcept {
+  std::size_t bytes = varint_len(v.size());
+  std::int64_t prev = 0;
+  for (const VertexT id : v) {
+    const auto cur = static_cast<std::int64_t>(id);
+    bytes += varint_len(zigzag(cur - prev));
+    prev = cur;
+  }
+  return bytes;
+}
+
 /// Delta-varint layout: [varint n][zigzag(v[i] - v[i-1]) varints],
 /// previous starting at 0. Order-preserving for arbitrary sequences.
 void encode_delta_varint(Message& msg, util::ThreadPool* pool) {
@@ -242,7 +254,6 @@ void encode_delta_varint(Message& msg, util::ThreadPool* pool) {
 }  // namespace
 
 WireFormat encode(Message& msg, WireFormat requested,
-                  double density_threshold, std::size_t universe,
                   util::ThreadPool* pool) {
   if (requested == WireFormat::kRawIds || msg.vertices.empty()) {
     return WireFormat::kRawIds;
@@ -251,33 +262,26 @@ WireFormat encode(Message& msg, WireFormat requested,
               "wire::encode on an already-encoded message");
   const std::size_t n = msg.vertices.size();
   const std::size_t raw_bytes = n * sizeof(VertexT);
-  const bool ascending = strictly_ascending(msg.vertices);
+  // Bitmap decode yields ascending order; a non-ascending sequence
+  // would be reordered (or, with duplicates, lose items), so only an
+  // ascending one may take the bitmap, and only where it beats raw.
+  const std::size_t bitmap_bytes =
+      strictly_ascending(msg.vertices)
+          ? 8 + (static_cast<std::size_t>(msg.vertices[n - 1]) / 64 + 1) * 8
+          : raw_bytes;
+  const bool bitmap_ok = bitmap_bytes < raw_bytes;
 
   WireFormat pick = requested;
   if (pick == WireFormat::kAuto) {
-    // Density heuristic: a bitmap over the receiver's hosted-vertex
-    // range pays off when the bucket covers at least
-    // density_threshold of it — and is admissible only when the
-    // sequence is ascending (dense-frontier advances emit ascending,
-    // so dense supersteps qualify exactly when compression pays).
-    const bool dense =
-        universe > 0 &&
-        static_cast<double>(n) >=
-            density_threshold * static_cast<double>(universe);
-    pick = (dense && ascending) ? WireFormat::kBitmap
-                                : WireFormat::kDeltaVarint;
-  }
-  if (pick == WireFormat::kBitmap) {
-    // Bitmap decode yields ascending order; a non-ascending sequence
-    // would be reordered (or, with duplicates, lose items). Fall back
-    // to the order-preserving format instead of silently corrupting.
-    if (!ascending) {
-      pick = WireFormat::kDeltaVarint;
-    } else {
-      const std::uint64_t n_words =
-          static_cast<std::uint64_t>(msg.vertices[n - 1]) / 64 + 1;
-      if (8 + n_words * 8 >= raw_bytes) pick = WireFormat::kDeltaVarint;
-    }
+    // A varint spends at least one byte on the count and one per ID,
+    // so a bitmap of at most n + 1 bytes wins without sizing it; ties
+    // go to the bitmap.
+    pick = bitmap_ok && (bitmap_bytes <= n + 1 ||
+                         bitmap_bytes <= delta_varint_bytes(msg.vertices))
+               ? WireFormat::kBitmap
+               : WireFormat::kDeltaVarint;
+  } else if (pick == WireFormat::kBitmap && !bitmap_ok) {
+    pick = WireFormat::kDeltaVarint;
   }
   if (pick == WireFormat::kBitmap) {
     encode_bitmap(msg, pool);
@@ -505,9 +509,6 @@ void CommBus::set_two_level(TwoLevelPolicy policy) {
   if (policy.enabled) {
     MGG_REQUIRE(machine_->interconnect().has_nodes(),
                 "two-level combine requires a node hierarchy");
-    MGG_REQUIRE(static_cast<int>(policy.node_universe.size()) ==
-                    machine_->num_devices(),
-                "two-level policy needs one node universe per device");
     MGG_REQUIRE(machine_->num_devices() <=
                     std::numeric_limits<std::int16_t>::max(),
                 "two-level relay ids are 16-bit");
@@ -583,8 +584,7 @@ void CommBus::flush_relays() {
       // is exactly the sorted unique set. A bitmap over [0, max_id]
       // yields it in O(staged + max_id / 64) — one bit per staged
       // ID, set bits read out ascending — so the bitmap re-encode is
-      // admissible when the density pays. Sized from the IDs
-      // themselves: the node universe does not bound them.
+      // admissible.
       VertexT max_id = 0;
       for (std::size_t k = i; k < j; ++k) {
         for (const VertexT v : staged[k].vertices) {
@@ -618,13 +618,11 @@ void CommBus::flush_relays() {
                          vgpu::TraceCategory::kCombine);
       // Model the merged payload: the surviving vertices, one
       // associate entry of each slot per survivor (the combined
-      // winners), re-encoded once against the destination node's
-      // hosted universe.
+      // winners), re-encoded once.
       merged.set_layout(staged[i].vertex_slots, staged[i].value_slots,
                         merged_n);
-      const WireFormat applied = wire::encode(
-          merged, two_level_.wire_format, two_level_.density_threshold,
-          two_level_.node_universe[dst], host_pool_);
+      const WireFormat applied =
+          wire::encode(merged, two_level_.wire_format, host_pool_);
       if (applied != WireFormat::kRawIds) {
         gw.add_kernel_cost(0, merged_n, 1, 1.0,
                            applied == WireFormat::kBitmap

@@ -89,20 +89,19 @@ enum class WireFormat : std::uint8_t {
   /// Raw receiver-local vertex IDs, 4 bytes each (the historical
   /// layout; the default — H bytes bit-identical to every prior run).
   kRawIds,
-  /// Dense |universe|-bit bitmap. Selected only when the vertex
-  /// sequence is already strictly ascending (a dense-frontier advance
-  /// emits in ascending order, so dense supersteps qualify exactly
-  /// when compression pays), because bitmap decode yields ascending
-  /// order and the encoding must be order-lossless.
+  /// Bitmap over the ID range [0, max_id]. Admissible only when the
+  /// vertex sequence is already strictly ascending (as a dense-frontier
+  /// advance emits it), because bitmap decode yields ascending order
+  /// and the encoding must be order-lossless.
   kBitmap,
   /// Zigzag-encoded deltas between consecutive IDs, LEB128-varint
   /// packed. Handles arbitrary (non-monotone) emission order; the
   /// ascending runs produced by dense advances collapse to 1-byte
   /// deltas.
   kDeltaVarint,
-  /// Config-only policy value: pick per message by the density
-  /// heuristic (bucket size vs the receiver's hosted-vertex count).
-  /// Messages on the wire never carry kAuto.
+  /// Config-only policy value: pick per message the smallest
+  /// admissible of bitmap, delta-varint and raw. Messages on the wire
+  /// never carry kAuto.
   kAuto,
 };
 
@@ -236,22 +235,21 @@ struct Message {
 
 namespace wire {
 
-/// Encode `msg.vertices` in place per `requested` (kAuto applies the
-/// density heuristic: bitmap when the bucket holds at least
-/// `density_threshold * universe` vertices *and* is strictly
-/// ascending, delta-varint otherwise). `universe` is the receiver's
-/// hosted-vertex count (the bitmap's ID space and the heuristic's
-/// denominator). Falls back format by format — bitmap -> delta-varint
-/// -> raw — whenever an encoding would be lossy (bitmap over a
-/// non-ascending sequence) or would *grow* the payload, so a
-/// compressed message is never larger than its raw form. Returns the
-/// format actually applied; the caller charges the encode kernel when
-/// it is not kRawIds. Deterministic: a pure function of the vertex
-/// sequence and the arguments — `pool` only parallelizes the byte
-/// production (disjoint output ranges computed up front), it never
-/// changes a single emitted byte or the format decision.
+/// Encode `msg.vertices` in place per `requested`. kAuto takes the
+/// smallest admissible encoding: a bitmap (strictly ascending input
+/// only, sized from the largest ID in O(1)), the delta-varint or raw,
+/// with ties going to the bitmap; the varint is sized only for an
+/// ascending bucket whose bitmap lies strictly between n + 1 bytes (the
+/// least any n-ID varint costs) and raw. A forced format falls back
+/// format by format — bitmap -> delta-varint -> raw — whenever it would
+/// be lossy (bitmap over a non-ascending sequence) or would not shrink
+/// the payload, so a compressed message is never larger than its raw
+/// form. Returns the format actually applied; the caller charges the
+/// encode kernel when it is not kRawIds. Deterministic: a pure function
+/// of the vertex sequence and `requested` — `pool` only parallelizes
+/// the byte production (disjoint output ranges computed up front), it
+/// never changes a single emitted byte or the format decision.
 WireFormat encode(Message& msg, WireFormat requested,
-                  double density_threshold, std::size_t universe,
                   util::ThreadPool* pool = nullptr);
 
 /// Restore `msg.vertices` from `msg.wire` (exact original sequence)
@@ -282,14 +280,6 @@ struct TwoLevelPolicy {
   /// Wire format for the gateway's single inter-node push (the
   /// re-encode); usually Config::wire_format.
   WireFormat wire_format = WireFormat::kRawIds;
-  /// kAuto density switch point for the re-encode.
-  double density_threshold = 1.0 / 16;
-  /// Per destination *device*: the hosted-vertex universe of its whole
-  /// node (sum of sub(q).num_total() over the node's devices) — the
-  /// density denominator for the gateway's re-encode, per the
-  /// tentpole's "bitmap density judged against the destination node's
-  /// hosted universe".
-  std::vector<std::size_t> node_universe;
 };
 
 class CommBus {
@@ -402,8 +392,8 @@ class CommBus {
   /// receiver's per-vertex combine — first-writer / min / sum / OR —
   /// reduces duplicate IDs to one entry), charge the merge (and the
   /// decode of payloads that travelled compressed) as gateway
-  /// kernels, re-encode once against the destination node's universe,
-  /// and charge the single inter-node transfer (fault-injected and
+  /// kernels, re-encode the merged (ascending) payload once, and
+  /// charge the single inter-node transfer (fault-injected and
   /// retried like any push, items = 0 — the items were counted once on
   /// the staged hop); then recycle the messages into the pool. Call
   /// exactly once per superstep, after every receiver has released its

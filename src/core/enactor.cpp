@@ -169,23 +169,7 @@ vgpu::RunStats EnactorBase::enact() {
   // push.
   const vgpu::Interconnect& net = problem_.machine().interconnect();
   two_level_active_ = cfg.two_level_combine && net.has_nodes() && n_ > 1;
-  {
-    TwoLevelPolicy policy;
-    if (two_level_active_) {
-      policy.enabled = true;
-      policy.wire_format = cfg.wire_format;
-      policy.density_threshold = cfg.wire_density_threshold;
-      policy.node_universe.assign(static_cast<std::size_t>(n_), 0);
-      for (int d = 0; d < n_; ++d) {
-        std::size_t universe = 0;
-        for (int q = 0; q < n_; ++q) {
-          if (net.same_node(q, d)) universe += problem_.sub(q).num_total();
-        }
-        policy.node_universe[static_cast<std::size_t>(d)] = universe;
-      }
-    }
-    bus_->set_two_level(std::move(policy));
-  }
+  bus_->set_two_level({two_level_active_, cfg.wire_format});
   const std::uint64_t fault_base =
       injector != nullptr ? injector->injected_count() : 0;
   run_stats_.watchdog_deadline_s = cfg.watchdog_deadline_s;
@@ -681,14 +665,11 @@ SizeT EnactorBase::route_output_frontier(Slice& s) {
   return kept_total;
 }
 
-void EnactorBase::encode_for_wire(Slice& s, Message& msg,
-                                  std::size_t universe) {
+void EnactorBase::encode_for_wire(Slice& s, Message& msg) {
   const Config& cfg = problem_.config();
   if (cfg.wire_format == WireFormat::kRawIds || msg.empty()) return;
   const std::size_t n = msg.vertices.size();
-  const WireFormat applied =
-      wire::encode(msg, cfg.wire_format, cfg.wire_density_threshold, universe,
-                   host_pool_);
+  const WireFormat applied = wire::encode(msg, cfg.wire_format, host_pool_);
   if (applied == WireFormat::kRawIds) return;
   // Modeled encode kernel on the sender's compute timeline: the
   // W-vs-H tradeoff the compressed formats buy is charged where the
@@ -771,11 +752,8 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
       }
       // Encode the prototype once (every peer ships the same payload,
       // so one encode kernel covers all copies — assign_from clones
-      // the encoded bytes). Universe: duplicate-all broadcast sends
-      // global IDs, so the bitmap spans the global vertex range.
-      encode_for_wire(
-          s, proto,
-          static_cast<std::size_t>(problem_.partitioned().global_vertices()));
+      // the encoded bytes).
+      encode_for_wire(s, proto);
       for (int peer = 0; peer < n_; ++peer) {
         if (peer == s.gpu) continue;
         Message message = bus_->acquire();
@@ -820,11 +798,7 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
                            }
                          });
       fill_associates(s, sources, message, nva, nvv);
-      // Universe: the payload holds receiver-local IDs, so the bitmap
-      // spans the receiver's hosted-vertex range.
-      encode_for_wire(
-          s, message,
-          static_cast<std::size_t>(problem_.sub(peer).num_total()));
+      encode_for_wire(s, message);
       bus_->push(s.gpu, peer, std::move(message));
       mark_peer_done(s, peer);
     }

@@ -278,13 +278,10 @@ class EnactorBase {
 
   /// Compress a packaged message's vertex array per
   /// Config::wire_format before bus().push (no-op under kRawIds, the
-  /// default). `universe` is the receiver's ID space for the bitmap
-  /// format and the density heuristic — the receiver's hosted-vertex
-  /// count (selective) or the global vertex count (broadcast). Charges
-  /// the modeled encode kernel to the *sender's* compute timeline when
-  /// a compressed format is applied. Primitives that override
-  /// communicate() call this on each message they build.
-  void encode_for_wire(Slice& s, Message& msg, std::size_t universe);
+  /// default). Charges the modeled encode kernel to the *sender's*
+  /// compute timeline when a compressed format is applied. Primitives
+  /// that override communicate() call this on each message they build.
+  void encode_for_wire(Slice& s, Message& msg);
 
   /// Run the associate fill hooks for one packaged message,
   /// parallelized over disjoint source subranges when the pool is

@@ -53,25 +53,18 @@ struct Config {
   double dense_threshold = 0;
   /// Wire format for frontier pushes (core/comm.hpp). kRawIds (the
   /// default) reproduces every prior run's H bytes bit-identically;
-  /// kAuto picks bitmap vs delta-varint per (peer, superstep) by the
-  /// density heuristic below. Either compressed format keeps results,
-  /// frontiers, and H *item* counts bit-identical — only bytes on the
-  /// wire and the modeled encode/decode kernels (charged to W) change.
+  /// kAuto picks the smallest admissible of bitmap, delta-varint and
+  /// raw per message (wire::encode). Either compressed format keeps
+  /// results, frontiers, and H *item* counts bit-identical — only bytes
+  /// on the wire and the modeled encode/decode kernels (charged to W)
+  /// change.
   WireFormat wire_format = WireFormat::kRawIds;
-  /// kAuto's density switch point: use a bitmap when a peer bucket
-  /// holds at least this fraction of the receiver's hosted vertices
-  /// (and the bucket is ascending — see wire::encode), delta-varint
-  /// otherwise. A |universe|-bit bitmap beats 4-byte raw IDs above
-  /// 1/32 density; 1/16 leaves margin for the varint's wins on sparse
-  /// ascending buckets.
-  double wire_density_threshold = 1.0 / 16;
   /// Two-level combine for multi-node topologies (docs/architecture.md
   /// §14): when on and the machine has a node hierarchy
   /// (Interconnect::has_nodes()), cross-node pushes are staged through
   /// a deterministic per-destination-node gateway vGPU — senders pay
   /// the fast intra-node hop, the gateway merge-dedups the node's
-  /// buckets, re-encodes once (bitmap density judged against the
-  /// destination *node's* hosted universe), and pays a single
+  /// buckets, re-encodes the merged payload once, and pays a single
   /// inter-node transfer. Results, frontiers, and every item-shaped
   /// counter stay bit-identical to the flat path — only the modeled
   /// byte/time split across link classes and the gateway's kernel

@@ -223,10 +223,7 @@ void BcEnactor::communicate_forward(Slice& s) {
       sigma_out[i] = static_cast<ValueT>(d.sigma_acc[v]);
       d.sigma_acc[v] = 0;  // partial handed off
     }
-    // Duplicate-all: payload holds global IDs, bitmap spans |V|.
-    encode_for_wire(
-        s, msg,
-        static_cast<std::size_t>(problem().partitioned().global_vertices()));
+    encode_for_wire(s, msg);
     bus().push(s.gpu, peer, std::move(msg));
   }
 
@@ -248,9 +245,7 @@ void BcEnactor::communicate_forward(Slice& s) {
     // One encode kernel covers every peer's copy (assign_from clones
     // the encoded bytes), mirroring split_frontier_and_push's
     // broadcast path.
-    encode_for_wire(
-        s, proto,
-        static_cast<std::size_t>(problem().partitioned().global_vertices()));
+    encode_for_wire(s, proto);
     for (int peer = 0; peer < n; ++peer) {
       if (peer == s.gpu) continue;
       core::Message msg = bus().acquire();
@@ -286,9 +281,7 @@ void BcEnactor::communicate_backward(Slice& s) {
       delta_out[i] = static_cast<ValueT>(d.delta_acc[p]);
       d.delta_acc[p] = 0;
     }
-    encode_for_wire(
-        s, msg,
-        static_cast<std::size_t>(problem().partitioned().global_vertices()));
+    encode_for_wire(s, msg);
     bus().push(s.gpu, peer, std::move(msg));
   }
   s.device->add_kernel_cost(0, d.border.size(), 1, 1.0, "bc_package");

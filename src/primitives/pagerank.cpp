@@ -120,8 +120,7 @@ void PagerankEnactor::communicate(Slice& s) {
       acc_out[i] = d.acc[p];
       d.acc[p] = 0;
     }
-    encode_for_wire(
-        s, msg, static_cast<std::size_t>(problem().sub(peer).num_total()));
+    encode_for_wire(s, msg);
     bus().push(s.gpu, peer, std::move(msg));
     mark_peer_done(s, peer);
   }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "primitives/bc.hpp"
 #include "test_support.hpp"
 
@@ -12,33 +13,14 @@ using test::config_for;
 using test::first_connected_vertex;
 using test::test_machine;
 
-void expect_bc_matches_cpu(const graph::Graph& g,
-                           const std::vector<VertexT>& sources,
-                           const core::Config& cfg) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_bc(g, machine, cfg, sources);
-
-  std::vector<double> expected(g.num_vertices, 0);
-  for (const VertexT src : sources) {
-    const auto partial = baselines::cpu_bc_single_source(g, src);
-    for (VertexT v = 0; v < g.num_vertices; ++v) expected[v] += partial[v];
-  }
-  for (auto& e : expected) e /= 2;
-
-  ASSERT_EQ(result.bc.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_NEAR(result.bc[v], expected[v],
-                1e-3 * std::max(1.0, expected[v]))
-        << "vertex " << v;
-  }
-}
-
+// Centralities match the Brandes oracle in each pinned draw of the
+// configuration-space differential (tests/config_space.hpp).
 class BcGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BcGpuSweep, SingleSourceRmat) {
-  const auto g = test::small_rmat(7, 4);
-  expect_bc_matches_cpu(g, {first_connected_vertex(g)},
-                        config_for(GetParam()));
+  test::space::expect_holds(
+      test::small_rmat(7, 4),
+      {.prim = test::space::Prim::kBc, .gpus = GetParam()});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, BcGpuSweep,
@@ -50,7 +32,8 @@ TEST(Bc, MultiSourceAccumulation) {
   for (VertexT v = 0; v < g.num_vertices && sources.size() < 8; ++v) {
     if (g.degree(v) > 0) sources.push_back(v);
   }
-  expect_bc_matches_cpu(g, sources, config_for(3));
+  test::space::expect_holds(
+      g, {.prim = test::space::Prim::kBc, .gpus = 3, .sources = sources});
 }
 
 TEST(Bc, PathGraphCentrality) {
@@ -87,7 +70,8 @@ TEST(Bc, GridAllPairsSmall) {
   const auto g = test::small_grid(5, 5);
   std::vector<VertexT> sources(g.num_vertices);
   for (VertexT v = 0; v < g.num_vertices; ++v) sources[v] = v;
-  expect_bc_matches_cpu(g, sources, config_for(4));
+  test::space::expect_holds(
+      g, {.prim = test::space::Prim::kBc, .gpus = 4, .sources = sources});
 }
 
 TEST(Bc, IsolatedSourceIsNoop) {

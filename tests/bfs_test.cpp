@@ -3,7 +3,7 @@
 // strategies, allocation schemes, and partitioners.
 #include <gtest/gtest.h>
 
-#include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "primitives/bfs.hpp"
 #include "test_support.hpp"
 
@@ -14,20 +14,11 @@ using test::config_for;
 using test::first_connected_vertex;
 using test::test_machine;
 
-void expect_bfs_matches_cpu(const graph::Graph& g, VertexT src,
-                            const core::Config& cfg) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_bfs(g, src, machine, cfg);
-  const auto expected = baselines::cpu_bfs(g, src);
-  ASSERT_EQ(result.labels.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_EQ(result.labels[v], expected[v]) << "vertex " << v;
-  }
-}
-
+// Oracle checks are pinned draws of the configuration-space
+// differential (tests/config_space.hpp): depths match cpu_bfs and
+// marked predecessors form a BFS tree.
 TEST(Bfs, SingleGpuMatchesCpu) {
-  const auto g = test::small_rmat();
-  expect_bfs_matches_cpu(g, first_connected_vertex(g), config_for(1));
+  test::space::expect_holds(test::small_rmat(), {.gpus = 1});
 }
 
 TEST(Bfs, ChainGraphDepths) {
@@ -43,22 +34,8 @@ TEST(Bfs, ChainGraphDepths) {
 }
 
 TEST(Bfs, PredecessorsFormValidTree) {
-  const auto g = test::small_rmat();
-  const VertexT src = first_connected_vertex(g);
-  auto cfg = config_for(3);
-  cfg.mark_predecessors = true;
-  auto machine = test_machine(3);
-  const auto result = prim::run_bfs(g, src, machine, cfg);
-  const auto depth = baselines::cpu_bfs(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (v == src || depth[v] == kInvalidVertex) continue;
-    const VertexT p = result.preds[v];
-    ASSERT_NE(p, kInvalidVertex) << "reached vertex lacks a predecessor";
-    EXPECT_EQ(depth[p] + 1, depth[v]) << "pred not one level above";
-    const auto nb = g.neighbors(p);
-    EXPECT_TRUE(std::binary_search(nb.begin(), nb.end(), v))
-        << "pred edge missing";
-  }
+  test::space::expect_holds(test::small_rmat(),
+                            {.gpus = 3, .cfg = {.mark_predecessors = true}});
 }
 
 struct BfsParam {
@@ -81,13 +58,12 @@ class BfsSweep : public ::testing::TestWithParam<BfsParam> {};
 
 TEST_P(BfsSweep, MatchesCpu) {
   const BfsParam p = GetParam();
-  auto cfg = config_for(p.gpus);
-  cfg.partitioner = p.partitioner;
-  cfg.duplication = p.dup;
-  cfg.comm = p.comm;
-  cfg.scheme = p.scheme;
-  const auto g = test::small_rmat();
-  expect_bfs_matches_cpu(g, first_connected_vertex(g), cfg);
+  test::space::expect_holds(test::small_rmat(),
+                            {.gpus = p.gpus,
+                             .cfg = {.partitioner = p.partitioner,
+                                     .duplication = p.dup,
+                                     .comm = p.comm,
+                                     .scheme = p.scheme}});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -149,8 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
                  vgpu::AllocationScheme::kPreallocFusion}));
 
 TEST(Bfs, RoadGridHighDiameter) {
-  const auto g = test::small_grid();
-  expect_bfs_matches_cpu(g, 0, config_for(2));
+  test::space::expect_holds(test::small_grid(), {.gpus = 2, .sources = {0}});
 }
 
 TEST(Bfs, DisconnectedComponentsStayUnreached) {

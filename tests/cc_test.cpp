@@ -1,7 +1,7 @@
 // Multi-GPU connected components vs the union-find oracle.
 #include <gtest/gtest.h>
 
-#include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "graph/properties.hpp"
 #include "primitives/cc.hpp"
 #include "test_support.hpp"
@@ -12,26 +12,19 @@ namespace {
 using test::config_for;
 using test::test_machine;
 
-void expect_cc_matches_cpu(const graph::Graph& g, const core::Config& cfg) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_cc(g, machine, cfg);
-  const auto expected = baselines::cpu_cc(g);
-  ASSERT_EQ(result.comp.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    // Both sides label a component by its smallest vertex ID, so the
-    // comparison is exact.
-    EXPECT_EQ(result.comp[v], expected[v]) << "vertex " << v;
-  }
-}
-
+// Components match the union-find oracle exactly (both label a
+// component by its smallest vertex ID) in each pinned draw of the
+// configuration-space differential (tests/config_space.hpp).
 class CcGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CcGpuSweep, RmatMatchesCpu) {
-  expect_cc_matches_cpu(test::small_rmat(), config_for(GetParam()));
+  test::space::expect_holds(
+      test::small_rmat(), {.prim = test::space::Prim::kCc, .gpus = GetParam()});
 }
 
 TEST_P(CcGpuSweep, GridMatchesCpu) {
-  expect_cc_matches_cpu(test::small_grid(), config_for(GetParam()));
+  test::space::expect_holds(
+      test::small_grid(), {.prim = test::space::Prim::kCc, .gpus = GetParam()});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, CcGpuSweep,

@@ -54,8 +54,6 @@ using core::CommBus;
 using core::Message;
 using core::WireFormat;
 
-constexpr double kDensity = 1.0 / 16;
-
 /// Drain receiver `dst`'s inbox sender by sender in ascending order,
 /// as the enactor does, handing each message to `visit` and releasing
 /// each sender's batch before the next drain.
@@ -73,8 +71,9 @@ void drain_each_sender(CommBus& bus, int n, int dst, Visit&& visit) {
 /// with (q + g) % 3 != 0, so every bucket is non-empty and the GPUs'
 /// frontiers overlap (the two-level merge has duplicates to drop).
 /// Each remote vertex travels with one VertexT and one ValueT
-/// associate. Tag 0 buckets are ascending (bitmap-eligible under
-/// kAuto), tag 1 buckets descending (delta-varint), so both codecs
+/// associate. Tag 0 buckets carry the receiver's local IDs v / n,
+/// ascending and dense enough that kAuto picks the bitmap; tag 1
+/// buckets carry global IDs descending (delta-varint), so both codecs
 /// run.
 struct Exchange {
   static constexpr VertexT kUniverse = 1536;
@@ -91,12 +90,10 @@ struct Exchange {
       const VertexT v = tag == 0 ? i : kUniverse - 1 - i;
       if ((v / 16 + static_cast<VertexT>(src)) % 3 != 0 &&
           static_cast<int>(v % static_cast<VertexT>(gpus)) == dst) {
-        visit(v);
+        visit(tag == 0 ? v / static_cast<VertexT>(gpus) : v);
       }
     }
   }
-
-  std::size_t hosted() const { return kUniverse / gpus; }
 
   Message package(CommBus& bus, int src, int dst, int tag) const {
     Message msg = bus.acquire();
@@ -111,7 +108,7 @@ struct Exchange {
       msg.value_slot(0)[i] = dist(v);
       ++i;
     });
-    core::wire::encode(msg, format, kDensity, hosted());
+    core::wire::encode(msg, format);
     return msg;
   }
 
@@ -128,16 +125,7 @@ struct Exchange {
     return ok && i == m.vertices.size();
   }
 
-  core::TwoLevelPolicy two_level(const vgpu::Machine& machine) const {
-    core::TwoLevelPolicy policy;
-    policy.enabled = true;
-    policy.wire_format = format;
-    policy.density_threshold = kDensity;
-    const int node_size = machine.interconnect().node_size();
-    policy.node_universe.assign(static_cast<std::size_t>(gpus),
-                                hosted() * node_size);
-    return policy;
-  }
+  core::TwoLevelPolicy two_level() const { return {true, format}; }
 };
 
 struct Tally {
@@ -206,7 +194,7 @@ TEST(CommBus, SteadyStateAllocatesNothing) {
       auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
       const Exchange x{machine.num_devices(), format};
       CommBus bus(machine);
-      if (two_level) bus.set_two_level(x.two_level(machine));
+      if (two_level) bus.set_two_level(x.two_level());
       Tally tally;
       for (int round = 0; round < kWarmupRounds; ++round) {
         run_round(machine, bus, x, tally);
@@ -239,8 +227,7 @@ TEST(CommBus, SteadyStateAllocatesNothing) {
 /// rebuilt without the bus: every sender hop as `package` encodes it,
 /// plus one merged push per (gateway, dst, tag) group whose IDs are the
 /// node's buckets concatenated in src order, std::sort + std::unique'd,
-/// re-encoded by wire::encode with the policy's format and the
-/// destination node's universe.
+/// re-encoded by wire::encode with the policy's format.
 struct RelayReference {
   std::uint64_t bytes[3] = {};  ///< by applied format: raw, bitmap, delta
   std::uint64_t inter = 0;      ///< the merged pushes' bytes
@@ -283,9 +270,8 @@ RelayReference reference_round(const vgpu::Machine& machine, CommBus& scratch,
         Message merged;
         merged.set_layout(1, 1, ids.size());
         std::copy(ids.begin(), ids.end(), merged.vertices.begin());
-        const WireFormat applied = core::wire::encode(
-            merged, policy.wire_format, policy.density_threshold,
-            policy.node_universe[dst]);
+        const WireFormat applied =
+            core::wire::encode(merged, policy.wire_format);
         ref.bytes[format_index(applied)] += merged.payload_bytes();
         ref.inter += merged.payload_bytes();
       }
@@ -296,13 +282,12 @@ RelayReference reference_round(const vgpu::Machine& machine, CommBus& scratch,
 
 TEST(CommBus, GatewayMergeMatchesSortedUniqueUnion) {
   // The existing tests only see that the merge deduplicates something;
-  // this pins its exact output. Exchange IDs run past the node universe
-  // (1535 vs 768), tag 0 buckets ascend, tag 1 buckets descend, and the
-  // senders' buckets overlap.
+  // this pins its exact output. Tag 0 buckets ascend, tag 1 buckets
+  // descend, and the senders' buckets overlap.
   for (const WireFormat format : {WireFormat::kRawIds, WireFormat::kAuto}) {
     auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
     const Exchange x{machine.num_devices(), format};
-    const core::TwoLevelPolicy policy = x.two_level(machine);
+    const core::TwoLevelPolicy policy = x.two_level();
     const std::string where = label(x, true);
     CommBus scratch(machine);
     const RelayReference ref = reference_round(machine, scratch, x, policy);
@@ -332,7 +317,7 @@ TEST(CommBus, ResetEmptiesRelayLedger) {
   auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
   const Exchange x{machine.num_devices(), WireFormat::kRawIds};
   CommBus bus(machine);
-  bus.set_two_level(x.two_level(machine));
+  bus.set_two_level(x.two_level());
   const int n = machine.num_devices();
   for (int src = 0; src < n; ++src) {
     for (int dst = 0; dst < n; ++dst) {

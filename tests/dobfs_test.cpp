@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "primitives/dobfs.hpp"
 #include "test_support.hpp"
 
@@ -13,24 +14,15 @@ using test::config_for;
 using test::first_connected_vertex;
 using test::test_machine;
 
-void expect_dobfs_matches_cpu(const graph::Graph& g, VertexT src,
-                              core::Config cfg,
-                              prim::DobfsOptions options = {}) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_dobfs(g, src, machine, cfg, options);
-  const auto expected = baselines::cpu_bfs(g, src);
-  ASSERT_EQ(result.labels.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_EQ(result.labels[v], expected[v]) << "vertex " << v;
-  }
-}
-
+// Depths match cpu_bfs and marked predecessors form a BFS tree in each
+// pinned draw of the configuration-space differential
+// (tests/config_space.hpp).
 class DobfsGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DobfsGpuSweep, RmatMatchesCpu) {
-  const auto g = test::small_rmat();
-  expect_dobfs_matches_cpu(g, first_connected_vertex(g),
-                           config_for(GetParam()));
+  test::space::expect_holds(test::small_rmat(),
+                            {.prim = test::space::Prim::kDobfs,
+                             .gpus = GetParam()});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, DobfsGpuSweep,
@@ -39,16 +31,10 @@ INSTANTIATE_TEST_SUITE_P(GpuCounts, DobfsGpuSweep,
 TEST(Dobfs, SwitchesToBackwardOnDenseGraph) {
   // A dense power-law graph with a huge second level triggers the
   // forward->backward switch under the default do_a.
-  const auto g = test::small_rmat(/*scale=*/9, /*edge_factor=*/16);
-  auto machine = test_machine(2);
-  auto result = prim::run_dobfs(g, first_connected_vertex(g), machine,
-                                config_for(2));
-  EXPECT_GE(result.direction_switches, 1);
-  // And the labels are still right.
-  const auto expected = baselines::cpu_bfs(g, first_connected_vertex(g));
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_EQ(result.labels[v], expected[v]) << "vertex " << v;
-  }
+  const auto run = test::space::expect_holds(
+      test::small_rmat(/*scale=*/9, /*edge_factor=*/16),
+      {.prim = test::space::Prim::kDobfs, .gpus = 2});
+  EXPECT_GE(run.extra, 1u) << "direction switches";
 }
 
 TEST(Dobfs, NeverSwitchesWithZeroDoA) {
@@ -102,19 +88,10 @@ TEST(Dobfs, PullSkipsEdges) {
 }
 
 TEST(Dobfs, PredecessorsValid) {
-  const auto g = test::small_rmat();
-  const VertexT src = first_connected_vertex(g);
-  auto cfg = config_for(2);
-  cfg.mark_predecessors = true;
-  auto machine = test_machine(2);
-  const auto result = prim::run_dobfs(g, src, machine, cfg);
-  const auto depth = baselines::cpu_bfs(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (v == src || depth[v] == kInvalidVertex) continue;
-    const VertexT p = result.preds[v];
-    ASSERT_NE(p, kInvalidVertex) << "vertex " << v;
-    EXPECT_EQ(depth[p] + 1, depth[v]) << "vertex " << v;
-  }
+  test::space::expect_holds(test::small_rmat(),
+                            {.prim = test::space::Prim::kDobfs,
+                             .gpus = 2,
+                             .cfg = {.mark_predecessors = true}});
 }
 
 }  // namespace

@@ -184,8 +184,8 @@ TEST(StatsIo, EveryNumericRunStatsFieldRoundTrips) {
       {"gateway_dedup_items", "127"},
   };
   for (const auto& [key, value] : expected) {
-    const std::string needle =
-        "\"" + std::string(key) + "\":" + value;
+    std::string needle = "\"";
+    needle.append(key).append("\":").append(value);
     EXPECT_NE(json.find(needle), std::string::npos)
         << "missing " << needle << " in " << json;
   }

@@ -1,6 +1,7 @@
 // Tests for the advance load-balancing policies.
 #include <gtest/gtest.h>
 
+#include "config_space.hpp"
 #include "core/load_balance.hpp"
 #include "primitives/bfs.hpp"
 #include "test_support.hpp"
@@ -89,16 +90,10 @@ TEST(LoadBalance, EmptyFrontier) {
 }
 
 TEST(LoadBalance, PolicyDoesNotChangeResults) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  auto cfg_balanced = test::config_for(3);
-  auto cfg_tpv = test::config_for(3);
-  cfg_tpv.load_balance = LoadBalance::kThreadPerVertex;
-  auto m1 = test::test_machine(3);
-  auto m2 = test::test_machine(3);
-  const auto a = prim::run_bfs(g, src, m1, cfg_balanced);
-  const auto b = prim::run_bfs(g, src, m2, cfg_tpv);
-  EXPECT_EQ(a.labels, b.labels);
+  // Rerun edge-balanced: results and every counter (tests/config_space.hpp).
+  test::space::expect_holds(
+      test::small_rmat(),
+      {.gpus = 3, .cfg = {.load_balance = LoadBalance::kThreadPerVertex}});
 }
 
 TEST(LoadBalance, SkewedPolicyCostsMoreOnPowerLaw) {

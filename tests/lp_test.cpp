@@ -1,6 +1,7 @@
 // Tests for the label-propagation extension primitive.
 #include <gtest/gtest.h>
 
+#include "config_space.hpp"
 #include "primitives/label_propagation.hpp"
 #include "test_support.hpp"
 
@@ -10,17 +11,14 @@ namespace {
 using test::config_for;
 using test::test_machine;
 
+// Communities match the synchronous CPU oracle in each pinned draw of
+// the configuration-space differential (tests/config_space.hpp).
 class LpGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpGpuSweep, MatchesSynchronousOracle) {
-  const auto g = test::small_rmat(7, 4);
-  auto machine = test_machine(GetParam());
-  prim::LpOptions options;
-  const auto result = prim::run_label_propagation(
-      g, machine, config_for(GetParam()), options);
-  const auto expected =
-      prim::cpu_label_propagation(g, options.max_iterations);
-  EXPECT_EQ(result.label, expected);
+  test::space::expect_holds(
+      test::small_rmat(7, 4),
+      {.prim = test::space::Prim::kLp, .gpus = GetParam()});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, LpGpuSweep,

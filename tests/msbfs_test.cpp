@@ -1,17 +1,17 @@
 // Differential suite for the bit-packed multi-source primitives: a
 // batched run's per-slot results must be bit-identical to running each
 // source individually, across GPU counts, schedules, and wire formats
-// (the serving layer's correctness rests entirely on this).
-#include <algorithm>
-#include <map>
-#include <span>
+// (the serving layer's correctness rests entirely on this). The batch
+// cases are pinned draws of the configuration-space differential
+// (tests/config_space.hpp), which checks every slot bitwise against
+// the CPU oracle's run from that slot's source.
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "config_space.hpp"
 #include "primitives/bfs.hpp"
 #include "primitives/multi_source.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -38,37 +38,6 @@ std::vector<VertexT> pick_sources(const graph::Graph& g, std::size_t n,
     srcs.push_back(static_cast<VertexT>(rng.next_below(g.num_vertices)));
   }
   return srcs;
-}
-
-/// Individual-run goldens, computed once per source at 1 vGPU and
-/// reused across every cell (results are mode-invariant, pinned by the
-/// primitive suites).
-const std::vector<VertexT>& bfs_golden(VertexT src) {
-  static std::map<VertexT, std::vector<VertexT>> cache;
-  auto it = cache.find(src);
-  if (it == cache.end()) {
-    auto machine = test::test_machine(1);
-    it = cache
-             .emplace(src, prim::run_bfs(bfs_graph(), src, machine,
-                                         test::config_for(1))
-                               .labels)
-             .first;
-  }
-  return it->second;
-}
-
-const std::vector<ValueT>& sssp_golden(VertexT src) {
-  static std::map<VertexT, std::vector<ValueT>> cache;
-  auto it = cache.find(src);
-  if (it == cache.end()) {
-    auto machine = test::test_machine(1);
-    it = cache
-             .emplace(src, prim::run_sssp(sssp_graph(), src, machine,
-                                          test::config_for(1))
-                               .dist)
-             .first;
-  }
-  return it->second;
 }
 
 struct Cell {
@@ -98,47 +67,14 @@ core::Config cell_config(const Cell& cell) {
   return cfg;
 }
 
-std::string cell_name(const Cell& cell) {
-  return std::to_string(cell.gpus) + "gpu/" +
-         (cell.pipeline ? "pipeline" : "bsp") + "/" +
-         (cell.auto_wire ? "auto" : "raw");
-}
-
-void expect_bfs_matches(const prim::MsBfsResult& result,
-                        std::span<const VertexT> srcs,
-                        const std::string& where) {
-  const std::size_t nv = bfs_graph().num_vertices;
-  ASSERT_EQ(result.width, static_cast<int>(srcs.size())) << where;
-  for (int slot = 0; slot < result.width; ++slot) {
-    const auto& golden = bfs_golden(srcs[slot]);
-    const auto got = result.slot(slot, nv);
-    ASSERT_TRUE(std::equal(golden.begin(), golden.end(), got.begin()))
-        << where << " slot " << slot << " source " << srcs[slot];
-  }
-}
-
-void expect_sssp_matches(const prim::MsSsspResult& result,
-                         std::span<const VertexT> srcs,
-                         const std::string& where) {
-  const std::size_t nv = sssp_graph().num_vertices;
-  ASSERT_EQ(result.width, static_cast<int>(srcs.size())) << where;
-  for (int slot = 0; slot < result.width; ++slot) {
-    const auto& golden = sssp_golden(srcs[slot]);
-    const auto got = result.slot(slot, nv);
-    // Bit-identical, not approximately equal: batched relaxations reach
-    // the same least fixpoint of the same float path sums.
-    ASSERT_TRUE(std::equal(golden.begin(), golden.end(), got.begin()))
-        << where << " slot " << slot << " source " << srcs[slot];
-  }
-}
-
 TEST(MsBfs, FullBatchDifferentialAcrossCells) {
   const auto srcs = pick_sources(bfs_graph(), prim::kMaxBatchWidth, 42);
   for (const Cell& cell : all_cells()) {
-    auto machine = test::test_machine(cell.gpus);
-    const auto result =
-        prim::run_msbfs(bfs_graph(), srcs, machine, cell_config(cell));
-    expect_bfs_matches(result, srcs, cell_name(cell));
+    test::space::expect_holds(bfs_graph(),
+                              {.prim = test::space::Prim::kMsBfs,
+                               .gpus = cell.gpus,
+                               .sources = srcs,
+                               .cfg = cell_config(cell)});
   }
 }
 
@@ -147,13 +83,11 @@ TEST(MsBfs, PartialBatches) {
                                   std::size_t{63}}) {
     const auto srcs = pick_sources(bfs_graph(), width, 1000 + width);
     for (const bool auto_wire : {false, true}) {
-      Cell cell{4, false, auto_wire};
-      auto machine = test::test_machine(4);
-      const auto result =
-          prim::run_msbfs(bfs_graph(), srcs, machine, cell_config(cell));
-      expect_bfs_matches(result, srcs,
-                         "width=" + std::to_string(width) + "/" +
-                             cell_name(cell));
+      test::space::expect_holds(bfs_graph(),
+                                {.prim = test::space::Prim::kMsBfs,
+                                 .gpus = 4,
+                                 .sources = srcs,
+                                 .cfg = cell_config({4, false, auto_wire})});
     }
   }
 }
@@ -161,39 +95,39 @@ TEST(MsBfs, PartialBatches) {
 TEST(MsBfs, DuplicateSourceBatches) {
   // Slots sharing a source must shadow each other bit-for-bit.
   const auto base = pick_sources(bfs_graph(), 5, 77);
-  std::vector<VertexT> srcs = {base[0], base[1], base[0], base[2],
-                               base[1], base[0], base[3], base[4]};
-  auto machine = test::test_machine(4);
-  const auto result =
-      prim::run_msbfs(bfs_graph(), srcs, machine, test::config_for(4));
-  expect_bfs_matches(result, srcs, "duplicates");
+  test::space::expect_holds(
+      bfs_graph(), {.prim = test::space::Prim::kMsBfs,
+                    .gpus = 4,
+                    .sources = {base[0], base[1], base[0], base[2], base[1],
+                                base[0], base[3], base[4]}});
 }
 
 TEST(MsBfs, SsspFullBatchDifferentialAcrossCells) {
   const auto srcs = pick_sources(sssp_graph(), prim::kMaxBatchWidth, 43);
   for (const Cell& cell : all_cells()) {
-    auto machine = test::test_machine(cell.gpus);
-    const auto result =
-        prim::run_msssp(sssp_graph(), srcs, machine, cell_config(cell));
-    expect_sssp_matches(result, srcs, cell_name(cell));
+    test::space::expect_holds(sssp_graph(),
+                              {.prim = test::space::Prim::kMsSssp,
+                               .gpus = cell.gpus,
+                               .sources = srcs,
+                               .cfg = cell_config(cell)});
   }
 }
 
 TEST(MsBfs, SsspPartialAndDuplicateBatches) {
   for (const std::size_t width : {std::size_t{1}, std::size_t{7},
                                   std::size_t{63}}) {
-    const auto srcs = pick_sources(sssp_graph(), width, 2000 + width);
-    auto machine = test::test_machine(4);
-    const auto result =
-        prim::run_msssp(sssp_graph(), srcs, machine, test::config_for(4));
-    expect_sssp_matches(result, srcs, "width=" + std::to_string(width));
+    test::space::expect_holds(
+        sssp_graph(), {.prim = test::space::Prim::kMsSssp,
+                       .gpus = 4,
+                       .sources = pick_sources(sssp_graph(), width,
+                                               2000 + width)});
   }
   const auto base = pick_sources(sssp_graph(), 3, 78);
-  std::vector<VertexT> srcs = {base[0], base[1], base[0], base[2], base[1]};
-  auto machine = test::test_machine(4);
-  const auto result =
-      prim::run_msssp(sssp_graph(), srcs, machine, test::config_for(4));
-  expect_sssp_matches(result, srcs, "sssp duplicates");
+  test::space::expect_holds(
+      sssp_graph(),
+      {.prim = test::space::Prim::kMsSssp,
+       .gpus = 4,
+       .sources = {base[0], base[1], base[0], base[2], base[1]}});
 }
 
 TEST(MsBfs, BatchedRunAmortizesWorkAndComm) {

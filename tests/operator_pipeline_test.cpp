@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "config_space.hpp"
 #include "core/enactor.hpp"
 #include "core/frontier.hpp"
 #include "core/operators.hpp"
@@ -17,7 +18,6 @@
 #include "primitives/bfs.hpp"
 #include "primitives/common.hpp"
 #include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 
 namespace mgg {
@@ -366,42 +366,35 @@ TEST(OperatorPipeline, BfsIdenticalAcrossPipelinesPerIteration) {
   }
 }
 
+// Each split or dense draw reruns fused: split keeps results and the
+// W/H counters, dense keeps the answer (tests/config_space.hpp).
 TEST(OperatorPipeline, SsspIdenticalAcrossPipelines) {
   const auto g = test::small_weighted_rmat(9, 8, 13);
-  const VertexT src = test::first_connected_vertex(g);
-  auto run = [&](const PipelineSpec& spec) {
-    auto machine = test::test_machine(3);
-    return prim::run_sssp(g, src, machine, pipeline_config(3, spec));
-  };
-  const auto ref = run(kPipelines[0]);
-  // Fused vs split execute the exact same relaxation sequence: result
-  // and per-run W both match. Dense iterates in ascending vertex order,
-  // which can reorder same-iteration relaxations — but the final
-  // distance map is the unique least fixpoint, so it matches exactly.
-  const auto split = run(kPipelines[1]);
-  EXPECT_EQ(split.dist, ref.dist);
-  EXPECT_EQ(split.stats.total_edges, ref.stats.total_edges);
-  EXPECT_EQ(split.stats.iterations, ref.stats.iterations);
-  const auto dense = run(kPipelines[2]);
-  EXPECT_EQ(dense.dist, ref.dist);
-  EXPECT_GE(dense.stats.dense_switches, 1u);
+  for (const auto& spec : kPipelines) {
+    const auto run = test::space::expect_holds(
+        g, {.prim = test::space::Prim::kSssp,
+            .gpus = 3,
+            .cfg = pipeline_config(3, spec)});
+    if (spec.dense_threshold > 0) {
+      EXPECT_GE(run.stats.dense_switches, 1u) << spec.name;
+    }
+  }
 }
 
 TEST(OperatorPipeline, PagerankBitwiseIdenticalAcrossPipelines) {
-  const auto g = test::small_rmat(8, 8, 17);
-  auto run = [&](const PipelineSpec& spec) {
-    auto machine = test::test_machine(3);
-    return prim::run_pagerank(g, machine, pipeline_config(3, spec));
-  };
-  const auto ref = run(kPipelines[0]);
   // The dense bitmap iterates hosted vertices in the same ascending
   // order the sparse hosted list uses, so even floating-point
   // accumulation order is preserved: ranks are bitwise identical.
-  const auto split = run(kPipelines[1]);
-  EXPECT_EQ(split.rank, ref.rank);
-  const auto dense = run(kPipelines[2]);
-  EXPECT_EQ(dense.rank, ref.rank);
-  EXPECT_GE(dense.stats.dense_switches, 1u);
+  const auto g = test::small_rmat(8, 8, 17);
+  for (const auto& spec : kPipelines) {
+    const auto run = test::space::expect_holds(
+        g, {.prim = test::space::Prim::kPr,
+            .gpus = 3,
+            .cfg = pipeline_config(3, spec)});
+    if (spec.dense_threshold > 0) {
+      EXPECT_GE(run.stats.dense_switches, 1u) << spec.name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

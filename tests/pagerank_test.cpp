@@ -3,7 +3,7 @@
 
 #include <numeric>
 
-#include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "primitives/pagerank.hpp"
 #include "test_support.hpp"
 
@@ -13,33 +13,24 @@ namespace {
 using test::config_for;
 using test::test_machine;
 
-void expect_pr_matches_cpu(const graph::Graph& g, const core::Config& cfg,
-                           prim::PagerankOptions options = {}) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_pagerank(g, machine, cfg, options);
-  const auto expected = baselines::cpu_pagerank(
-      g, options.damping, options.threshold, options.max_iterations);
-  ASSERT_EQ(result.rank.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_NEAR(result.rank[v], expected[v],
-                0.05f * expected[v] + 1e-6f)
-        << "vertex " << v;
-  }
-}
-
+// Ranks stay within 5% of the CPU power iteration in each pinned draw
+// of the configuration-space differential (tests/config_space.hpp).
 class PrGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrGpuSweep, RmatMatchesCpu) {
-  expect_pr_matches_cpu(test::small_rmat(), config_for(GetParam()));
+  test::space::expect_holds(
+      test::small_rmat(), {.prim = test::space::Prim::kPr, .gpus = GetParam()});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, PrGpuSweep,
                          ::testing::Values(1, 2, 3, 4, 6));
 
 TEST(Pagerank, OneHopDuplicationMatches) {
-  auto cfg = config_for(4);
-  cfg.duplication = part::Duplication::kOneHop;
-  expect_pr_matches_cpu(test::small_rmat(), cfg);
+  test::space::expect_holds(
+      test::small_rmat(),
+      {.prim = test::space::Prim::kPr,
+       .gpus = 4,
+       .cfg = {.duplication = part::Duplication::kOneHop}});
 }
 
 TEST(Pagerank, RanksSumNearOne) {

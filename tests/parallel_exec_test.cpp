@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "config_space.hpp"
 #include "core/comm.hpp"
 #include "core/frontier.hpp"
 #include "core/operators.hpp"
@@ -24,7 +25,6 @@
 #include "primitives/bfs.hpp"
 #include "primitives/dobfs.hpp"
 #include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
 #include "vgpu/cost.hpp"
@@ -58,147 +58,50 @@ void expect_same_stats(const vgpu::RunStats& a, const vgpu::RunStats& b,
   EXPECT_EQ(a.modeled_overlap_hidden_s, b.modeled_overlap_hidden_s) << label;
 }
 
-/// The (sync mode, wire format) grid every primitive is swept over.
-struct ModePoint {
-  core::SyncMode sync;
-  core::WireFormat wire;
-};
-const ModePoint kModes[] = {
-    {core::SyncMode::kBspBarrier, core::WireFormat::kRawIds},
-    {core::SyncMode::kBspBarrier, core::WireFormat::kAuto},
-    {core::SyncMode::kEventPipeline, core::WireFormat::kRawIds},
-    {core::SyncMode::kEventPipeline, core::WireFormat::kAuto},
-};
-
-core::Config grid_config(const ModePoint& m, int host_threads) {
-  core::Config cfg = test::config_for(kGpus);
-  cfg.sync_mode = m.sync;
-  cfg.wire_format = m.wire;
-  cfg.host_threads = host_threads;
-  return cfg;
-}
-
-std::string grid_label(const ModePoint& m, int host_threads) {
-  return "sync=" + core::to_string(m.sync) +
-         " wire=" + core::to_string(m.wire) +
-         " threads=" + std::to_string(host_threads);
+/// Every (sync mode, wire format) cell of `prim` at 2, 4 and 8 workers;
+/// each draw reruns at one worker and must keep results and every
+/// RunStats field, modeled times included (tests/config_space.hpp).
+void expect_widths_hold(const graph::Graph& g, test::space::Prim prim,
+                        bool preds = false) {
+  for (const core::SyncMode sync :
+       {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
+    for (const core::WireFormat wire :
+         {core::WireFormat::kRawIds, core::WireFormat::kAuto}) {
+      for (const int threads : kThreadCounts) {
+        if (threads == 1) continue;
+        test::space::expect_holds(
+            g, {.prim = prim,
+                .gpus = kGpus,
+                .cfg = {.sync_mode = sync,
+                        .mark_predecessors = preds,
+                        .wire_format = wire,
+                        .host_threads = threads}});
+      }
+    }
+  }
 }
 
 TEST(ParallelExec, BfsBitIdenticalAcrossHostThreads) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const ModePoint& m : kModes) {
-    prim::BfsResult ref;
-    for (const int threads : kThreadCounts) {
-      auto machine = test::test_machine(kGpus);
-      core::Config cfg = grid_config(m, threads);
-      cfg.mark_predecessors = true;
-      const auto r = prim::run_bfs(g, src, machine, cfg);
-      if (threads == 1) {
-        ref = r;
-        continue;
-      }
-      const std::string label = grid_label(m, threads);
-      EXPECT_EQ(r.labels, ref.labels) << label;
-      EXPECT_EQ(r.preds, ref.preds) << label;
-      expect_same_stats(r.stats, ref.stats, label);
-    }
-  }
+  expect_widths_hold(test::small_rmat(), test::space::Prim::kBfs, true);
 }
 
 TEST(ParallelExec, SsspBitIdenticalAcrossHostThreads) {
-  const auto g = test::small_weighted_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const ModePoint& m : kModes) {
-    prim::SsspResult ref;
-    for (const int threads : kThreadCounts) {
-      auto machine = test::test_machine(kGpus);
-      const auto r = prim::run_sssp(g, src, machine, grid_config(m, threads));
-      if (threads == 1) {
-        ref = r;
-        continue;
-      }
-      const std::string label = grid_label(m, threads);
-      // Distances bitwise (memcmp, not float ==): an FP divergence
-      // must fail even through a NaN.
-      ASSERT_EQ(r.dist.size(), ref.dist.size()) << label;
-      EXPECT_EQ(std::memcmp(r.dist.data(), ref.dist.data(),
-                            ref.dist.size() * sizeof(ValueT)),
-                0)
-          << label;
-      expect_same_stats(r.stats, ref.stats, label);
-    }
-  }
+  expect_widths_hold(test::small_weighted_rmat(), test::space::Prim::kSssp);
 }
 
 TEST(ParallelExec, PagerankBitIdenticalAcrossHostThreads) {
-  const auto g = test::small_rmat();
-  for (const ModePoint& m : kModes) {
-    prim::PagerankResult ref;
-    for (const int threads : kThreadCounts) {
-      auto machine = test::test_machine(kGpus);
-      const auto r = prim::run_pagerank(g, machine, grid_config(m, threads));
-      if (threads == 1) {
-        ref = r;
-        continue;
-      }
-      const std::string label = grid_label(m, threads);
-      ASSERT_EQ(r.rank.size(), ref.rank.size()) << label;
-      EXPECT_EQ(std::memcmp(r.rank.data(), ref.rank.data(),
-                            ref.rank.size() * sizeof(ValueT)),
-                0)
-          << label;
-      expect_same_stats(r.stats, ref.stats, label);
-    }
-  }
+  expect_widths_hold(test::small_rmat(), test::space::Prim::kPr);
 }
 
 TEST(ParallelExec, BcBitIdenticalAcrossHostThreads) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const ModePoint& m : kModes) {
-    prim::BcResult ref;
-    for (const int threads : kThreadCounts) {
-      auto machine = test::test_machine(kGpus);
-      const auto r = prim::run_bc(g, machine, grid_config(m, threads), {src});
-      if (threads == 1) {
-        ref = r;
-        continue;
-      }
-      const std::string label = grid_label(m, threads);
-      ASSERT_EQ(r.bc.size(), ref.bc.size()) << label;
-      EXPECT_EQ(std::memcmp(r.bc.data(), ref.bc.data(),
-                            ref.bc.size() * sizeof(ValueT)),
-                0)
-          << label;
-      expect_same_stats(r.stats, ref.stats, label);
-    }
-  }
+  expect_widths_hold(test::small_rmat(), test::space::Prim::kBc);
 }
 
 // DOBFS exercises the parallel pull path, whose parent reads go
 // through relaxed atomic_refs; the direction switch schedule and
 // results must not move with the pool width.
 TEST(ParallelExec, DobfsBitIdenticalAcrossHostThreads) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  prim::DobfsResult ref;
-  for (const int threads : kThreadCounts) {
-    auto machine = test::test_machine(kGpus);
-    core::Config cfg = test::config_for(kGpus);
-    cfg.host_threads = threads;
-    cfg.mark_predecessors = true;
-    const auto r = prim::run_dobfs(g, src, machine, cfg);
-    if (threads == 1) {
-      ref = r;
-      continue;
-    }
-    const std::string label = "threads=" + std::to_string(threads);
-    EXPECT_EQ(r.labels, ref.labels) << label;
-    EXPECT_EQ(r.preds, ref.preds) << label;
-    EXPECT_EQ(r.direction_switches, ref.direction_switches) << label;
-    expect_same_stats(r.stats, ref.stats, label);
-  }
+  expect_widths_hold(test::small_rmat(), test::space::Prim::kDobfs, true);
 }
 
 // -------------------------------------------------------------------

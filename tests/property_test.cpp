@@ -1,23 +1,19 @@
 // Property-style sweeps: for randomized graphs across families and
 // seeds, every multi-GPU primitive must agree with its CPU oracle
-// under every configuration dimension. These parameterized suites are
-// the broad-coverage safety net behind the targeted unit tests.
+// under every configuration dimension. Each case is a pinned draw of
+// the configuration-space differential (tests/config_space.hpp);
+// tests/config_space_test.cpp samples the rest of the knob product.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "baselines/cpu_reference.hpp"
-#include "primitives/bc.hpp"
+#include "config_space.hpp"
 #include "primitives/bfs.hpp"
-#include "primitives/cc.hpp"
-#include "primitives/dobfs.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
-#include "util/random.hpp"
 #include "test_support.hpp"
+#include "vgpu/cost.hpp"
 
 namespace mgg {
 namespace {
+
+using test::space::Prim;
 
 struct Scenario {
   const char* family;  // "rmat", "social", "web", "grid", "uniform"
@@ -29,123 +25,22 @@ void PrintTo(const Scenario& s, std::ostream* os) {
   *os << s.family << "/seed" << s.seed << "/gpus" << s.gpus;
 }
 
-graph::Graph make_family_graph(const Scenario& s) {
-  switch (s.family[0]) {
-    case 'r':  // rmat
-      return graph::build_undirected(
-          graph::make_rmat(8, 6, graph::RmatParams::gtgraph(), s.seed));
-    case 's':  // social
-      return graph::build_undirected(graph::make_social(500, 6, s.seed));
-    case 'w':  // web
-      return graph::build_undirected(graph::make_web(10, 40, 6, 0.15,
-                                                     s.seed));
-    case 'g':  // grid
-      return graph::build_undirected(
-          graph::make_road_grid(16, 16, 0.05, s.seed));
-    default:  // uniform
-      return graph::build_undirected(
-          graph::make_uniform_random(600, 4000, s.seed));
+class PrimitiveSweep : public ::testing::TestWithParam<Scenario> {
+ protected:
+  void expect_holds(Prim prim, bool weighted = false) {
+    const Scenario s = GetParam();
+    test::space::expect_holds(
+        test::space::family_graph(s.family, s.seed, weighted),
+        {.prim = prim, .gpus = s.gpus});
   }
-}
+};
 
-graph::Graph make_weighted_family_graph(const Scenario& s) {
-  auto g = make_family_graph(s);
-  // Rebuild with weights through the COO path for grid (already
-  // weighted) or attach via a fresh generator run. Simplest: derive
-  // weights deterministically from edge endpoints.
-  if (!g.has_values()) {
-    g.edge_values.resize(g.num_edges);
-    for (VertexT v = 0; v < g.num_vertices; ++v) {
-      const auto [begin, end] = g.edge_range(v);
-      for (SizeT e = begin; e < end; ++e) {
-        const VertexT u = g.col_indices[e];
-        // Symmetric deterministic weight in [1, 16].
-        g.edge_values[e] = static_cast<ValueT>(
-            1 + util::splitmix64(std::min(v, u) * 131071ull +
-                                 std::max(v, u)) %
-                    16);
-      }
-    }
-  }
-  return g;
-}
-
-class PrimitiveSweep : public ::testing::TestWithParam<Scenario> {};
-
-TEST_P(PrimitiveSweep, BfsMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_family_graph(s);
-  const VertexT src = test::first_connected_vertex(g);
-  auto machine = test::test_machine(s.gpus);
-  const auto result =
-      prim::run_bfs(g, src, machine, test::config_for(s.gpus));
-  EXPECT_EQ(result.labels, baselines::cpu_bfs(g, src));
-}
-
-TEST_P(PrimitiveSweep, DobfsMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_family_graph(s);
-  const VertexT src = test::first_connected_vertex(g);
-  auto machine = test::test_machine(s.gpus);
-  const auto result =
-      prim::run_dobfs(g, src, machine, test::config_for(s.gpus));
-  EXPECT_EQ(result.labels, baselines::cpu_bfs(g, src));
-}
-
-TEST_P(PrimitiveSweep, SsspMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_weighted_family_graph(s);
-  const VertexT src = test::first_connected_vertex(g);
-  auto machine = test::test_machine(s.gpus);
-  const auto result =
-      prim::run_sssp(g, src, machine, test::config_for(s.gpus));
-  const auto expected = baselines::cpu_sssp(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (std::isinf(expected[v])) {
-      EXPECT_TRUE(std::isinf(result.dist[v])) << v;
-    } else {
-      EXPECT_FLOAT_EQ(result.dist[v], expected[v]) << v;
-    }
-  }
-}
-
-TEST_P(PrimitiveSweep, CcMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_family_graph(s);
-  auto machine = test::test_machine(s.gpus);
-  const auto result = prim::run_cc(g, machine, test::config_for(s.gpus));
-  EXPECT_EQ(result.comp, baselines::cpu_cc(g));
-}
-
-TEST_P(PrimitiveSweep, PagerankMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_family_graph(s);
-  auto machine = test::test_machine(s.gpus);
-  prim::PagerankOptions options;
-  const auto result =
-      prim::run_pagerank(g, machine, test::config_for(s.gpus), options);
-  const auto expected = baselines::cpu_pagerank(
-      g, options.damping, options.threshold, options.max_iterations);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_NEAR(result.rank[v], expected[v], 0.05f * expected[v] + 1e-6f)
-        << v;
-  }
-}
-
-TEST_P(PrimitiveSweep, BcMatchesOracle) {
-  const auto s = GetParam();
-  const auto g = make_family_graph(s);
-  const VertexT src = test::first_connected_vertex(g);
-  auto machine = test::test_machine(s.gpus);
-  const auto result =
-      prim::run_bc(g, machine, test::config_for(s.gpus), {src});
-  const auto expected = baselines::cpu_bc_single_source(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_NEAR(result.bc[v], expected[v] / 2,
-                1e-3 * std::max<double>(1.0, expected[v]))
-        << v;
-  }
-}
+TEST_P(PrimitiveSweep, BfsMatchesOracle) { expect_holds(Prim::kBfs); }
+TEST_P(PrimitiveSweep, DobfsMatchesOracle) { expect_holds(Prim::kDobfs); }
+TEST_P(PrimitiveSweep, SsspMatchesOracle) { expect_holds(Prim::kSssp, true); }
+TEST_P(PrimitiveSweep, CcMatchesOracle) { expect_holds(Prim::kCc); }
+TEST_P(PrimitiveSweep, PagerankMatchesOracle) { expect_holds(Prim::kPr); }
+TEST_P(PrimitiveSweep, BcMatchesOracle) { expect_holds(Prim::kBc); }
 
 INSTANTIATE_TEST_SUITE_P(
     Families, PrimitiveSweep,
@@ -162,42 +57,21 @@ class SchemeSweep
     : public ::testing::TestWithParam<vgpu::AllocationScheme> {};
 
 TEST_P(SchemeSweep, SsspUnaffectedByScheme) {
-  const auto g = test::small_weighted_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  auto cfg = test::config_for(3);
-  cfg.scheme = GetParam();
-  auto machine = test::test_machine(3);
-  const auto result = prim::run_sssp(g, src, machine, cfg);
-  const auto expected = baselines::cpu_sssp(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (!std::isinf(expected[v])) {
-      EXPECT_FLOAT_EQ(result.dist[v], expected[v]) << v;
-    }
-  }
+  test::space::expect_holds(
+      test::small_weighted_rmat(),
+      {.prim = Prim::kSssp, .gpus = 3, .cfg = {.scheme = GetParam()}});
 }
 
 TEST_P(SchemeSweep, PagerankUnaffectedByScheme) {
-  const auto g = test::small_rmat(7, 4);
-  auto cfg = test::config_for(2);
-  cfg.scheme = GetParam();
-  auto machine = test::test_machine(2);
-  prim::PagerankOptions options;
-  const auto result = prim::run_pagerank(g, machine, cfg, options);
-  const auto expected = baselines::cpu_pagerank(
-      g, options.damping, options.threshold, options.max_iterations);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    EXPECT_NEAR(result.rank[v], expected[v], 0.05f * expected[v] + 1e-6f);
-  }
+  test::space::expect_holds(
+      test::small_rmat(7, 4),
+      {.prim = Prim::kPr, .gpus = 2, .cfg = {.scheme = GetParam()}});
 }
 
 TEST_P(SchemeSweep, DobfsUnaffectedByScheme) {
-  const auto g = test::small_rmat(7, 6);
-  const VertexT src = test::first_connected_vertex(g);
-  auto cfg = test::config_for(3);
-  cfg.scheme = GetParam();
-  auto machine = test::test_machine(3);
-  const auto result = prim::run_dobfs(g, src, machine, cfg);
-  EXPECT_EQ(result.labels, baselines::cpu_bfs(g, src));
+  test::space::expect_holds(
+      test::small_rmat(7, 6),
+      {.prim = Prim::kDobfs, .gpus = 3, .cfg = {.scheme = GetParam()}});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -210,28 +84,16 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Cross-configuration invariants -----------------------------------
 
 TEST(Invariants, GpuCountNeverChangesResults) {
-  // The same traversal must be bit-identical for every GPU count —
-  // BFS labels are deterministic regardless of partitioning.
+  // Every GPU count matches the oracle, so BFS labels never depend on
+  // the partitioning.
   const auto g = test::small_rmat(8, 6, 99);
-  const VertexT src = test::first_connected_vertex(g);
-  auto machine1 = test::test_machine(1);
-  const auto reference =
-      prim::run_bfs(g, src, machine1, test::config_for(1));
-  for (const int gpus : {2, 3, 5, 6}) {
-    auto machine = test::test_machine(gpus);
-    const auto result =
-        prim::run_bfs(g, src, machine, test::config_for(gpus));
-    EXPECT_EQ(result.labels, reference.labels) << gpus << " GPUs";
+  for (const int gpus : {1, 2, 3, 5, 6}) {
+    test::space::expect_holds(g, {.gpus = gpus});
   }
 }
 
 TEST(Invariants, CommunicationVanishesOnOneGpu) {
-  const auto g = test::small_rmat();
-  auto machine = test::test_machine(1);
-  const auto result = prim::run_bfs(g, test::first_connected_vertex(g),
-                                    machine, test::config_for(1));
-  EXPECT_EQ(result.stats.total_comm_items, 0u);
-  EXPECT_EQ(result.stats.total_comm_bytes, 0u);
+  test::space::expect_holds(test::small_rmat(), {.gpus = 1});
 }
 
 TEST(Invariants, ModeledTimeDecomposes) {
@@ -267,11 +129,14 @@ TEST(Invariants, ClusterMachineRunsAllPrimitivesCorrectly) {
   // §VIII extension: a 2x2 cluster must give identical answers —
   // topology only changes modeled cost.
   const auto g = test::small_rmat(7, 5);
-  const VertexT src = test::first_connected_vertex(g);
-  auto cluster = vgpu::Machine::create_cluster("k40", 2, 2);
-  const auto result =
-      prim::run_bfs(g, src, cluster, test::config_for(4));
-  EXPECT_EQ(result.labels, baselines::cpu_bfs(g, src));
+  const auto weighted = test::small_weighted_rmat(7, 5);
+  for (const Prim prim :
+       {Prim::kBfs, Prim::kDobfs, Prim::kSssp, Prim::kCc, Prim::kBc,
+        Prim::kPr, Prim::kLp, Prim::kMsBfs, Prim::kMsSssp}) {
+    const bool w = prim == Prim::kSssp || prim == Prim::kMsSssp;
+    test::space::expect_holds(w ? weighted : g,
+                              {.prim = prim, .gpus = 4, .nodes = 2});
+  }
 }
 
 TEST(Invariants, ClusterCommunicationCostsMore) {

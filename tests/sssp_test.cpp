@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "baselines/cpu_reference.hpp"
+#include "config_space.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
 
@@ -15,42 +16,32 @@ using test::config_for;
 using test::first_connected_vertex;
 using test::test_machine;
 
-void expect_sssp_matches_cpu(const graph::Graph& g, VertexT src,
-                             const core::Config& cfg) {
-  auto machine = test_machine(cfg.num_gpus);
-  const auto result = prim::run_sssp(g, src, machine, cfg);
-  const auto expected = baselines::cpu_sssp(g, src);
-  ASSERT_EQ(result.dist.size(), expected.size());
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (std::isinf(expected[v])) {
-      EXPECT_TRUE(std::isinf(result.dist[v])) << "vertex " << v;
-    } else {
-      EXPECT_FLOAT_EQ(result.dist[v], expected[v]) << "vertex " << v;
-    }
-  }
-}
-
+// Distances match Dijkstra bit for bit in each pinned draw of the
+// configuration-space differential (tests/config_space.hpp).
 class SsspGpuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SsspGpuSweep, RmatMatchesDijkstra) {
-  const auto g = test::small_weighted_rmat();
-  expect_sssp_matches_cpu(g, first_connected_vertex(g),
-                          config_for(GetParam()));
+  test::space::expect_holds(test::small_weighted_rmat(),
+                            {.prim = test::space::Prim::kSssp,
+                             .gpus = GetParam()});
 }
 
 TEST_P(SsspGpuSweep, RoadGridMatchesDijkstra) {
-  const auto g = test::small_grid();
-  expect_sssp_matches_cpu(g, 0, config_for(GetParam()));
+  test::space::expect_holds(test::small_grid(),
+                            {.prim = test::space::Prim::kSssp,
+                             .gpus = GetParam(),
+                             .sources = {0}});
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, SsspGpuSweep,
                          ::testing::Values(1, 2, 3, 4, 6));
 
 TEST(Sssp, OneHopDuplicationMatches) {
-  const auto g = test::small_weighted_rmat();
-  auto cfg = config_for(4);
-  cfg.duplication = part::Duplication::kOneHop;
-  expect_sssp_matches_cpu(g, first_connected_vertex(g), cfg);
+  test::space::expect_holds(
+      test::small_weighted_rmat(),
+      {.prim = test::space::Prim::kSssp,
+       .gpus = 4,
+       .cfg = {.duplication = part::Duplication::kOneHop}});
 }
 
 TEST(Sssp, PredecessorsFormShortestPathTree) {

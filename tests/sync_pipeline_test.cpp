@@ -15,6 +15,7 @@
 #include <barrier>
 #include <chrono>
 #include <filesystem>
+#include <initializer_list>
 #include <iterator>
 #include <numeric>
 #include <random>
@@ -22,14 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "config_space.hpp"
 #include "core/comm.hpp"
 #include "core/enactor.hpp"
 #include "core/handshake.hpp"
 #include "core/problem.hpp"
-#include "primitives/bc.hpp"
 #include "primitives/bfs.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 #include "util/random.hpp"
 #include "vgpu/cost.hpp"
@@ -67,97 +66,46 @@ void expect_same_counters(const vgpu::RunStats& bsp,
   EXPECT_EQ(bsp.total_combine_items, pipe.total_combine_items) << label;
 }
 
-TEST(SyncPipeline, BfsBitIdenticalAcrossModesAtEveryWidth) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const int gpus : {1, 2, 3, 4, 6, 8}) {
-    auto m_bsp = test::test_machine(gpus);
-    auto m_pipe = test::test_machine(gpus);
-    core::Config cfg = test::config_for(gpus);
-    cfg.mark_predecessors = true;
-    core::Config pcfg = cfg;
-    pcfg.sync_mode = core::SyncMode::kEventPipeline;
-    const auto bsp = prim::run_bfs(g, src, m_bsp, cfg);
-    const auto pipe = prim::run_bfs(g, src, m_pipe, pcfg);
-    const std::string label = "gpus=" + std::to_string(gpus);
-    EXPECT_EQ(bsp.labels, pipe.labels) << label;
-    EXPECT_EQ(bsp.preds, pipe.preds) << label;
-    expect_same_counters(bsp.stats, pipe.stats, label);
-    // The barrier schedule never reports hidden comm.
-    EXPECT_EQ(bsp.stats.modeled_overlap_hidden_s, 0.0) << label;
-    if (gpus >= 2) {
-      // One barrier per superstep instead of two.
-      EXPECT_LT(pipe.stats.modeled_overhead_s, bsp.stats.modeled_overhead_s)
-          << label;
-    }
+// Schedule bit-identity: each pipeline draw reruns under BSP and must
+// keep results, W/H counters and link bytes (tests/config_space.hpp).
+void expect_pipeline_holds(const graph::Graph& g, test::space::Draw d,
+                           std::initializer_list<int> widths) {
+  d.cfg.sync_mode = core::SyncMode::kEventPipeline;
+  for (const int gpus : widths) {
+    d.gpus = gpus;
+    test::space::expect_holds(g, d);
   }
+}
+
+TEST(SyncPipeline, BfsBitIdenticalAcrossModesAtEveryWidth) {
+  expect_pipeline_holds(test::small_rmat(),
+                        {.cfg = {.mark_predecessors = true}},
+                        {1, 2, 3, 4, 6, 8});
 }
 
 TEST(SyncPipeline, SsspBitIdenticalAcrossModes) {
-  const auto g = test::small_weighted_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const int gpus : {1, 3, 8}) {
-    auto m_bsp = test::test_machine(gpus);
-    auto m_pipe = test::test_machine(gpus);
-    const auto bsp = prim::run_sssp(g, src, m_bsp, test::config_for(gpus));
-    const auto pipe = prim::run_sssp(g, src, m_pipe, pipeline_config(gpus));
-    const std::string label = "gpus=" + std::to_string(gpus);
-    EXPECT_EQ(bsp.dist, pipe.dist) << label;
-    EXPECT_EQ(bsp.preds, pipe.preds) << label;
-    expect_same_counters(bsp.stats, pipe.stats, label);
-  }
+  expect_pipeline_holds(test::small_weighted_rmat(),
+                        {.prim = test::space::Prim::kSssp}, {1, 3, 8});
 }
 
 TEST(SyncPipeline, PagerankBitIdenticalAcrossModes) {
-  // PR exercises the primitive-owned chunked communicate() path (its
-  // communicate override routes acc values itself). Rank values are
-  // floating point, so exact equality here proves the combine order —
-  // and with it every FP addition order — is reproduced.
-  const auto g = test::small_rmat();
-  for (const int gpus : {1, 4, 6}) {
-    auto m_bsp = test::test_machine(gpus);
-    auto m_pipe = test::test_machine(gpus);
-    const auto bsp = prim::run_pagerank(g, m_bsp, test::config_for(gpus));
-    const auto pipe = prim::run_pagerank(g, m_pipe, pipeline_config(gpus));
-    const std::string label = "gpus=" + std::to_string(gpus);
-    EXPECT_EQ(bsp.rank, pipe.rank) << label;
-    expect_same_counters(bsp.stats, pipe.stats, label);
-  }
+  // PR's communicate override routes acc values itself; float ranks
+  // make any combine reorder visible.
+  expect_pipeline_holds(test::small_rmat(), {.prim = test::space::Prim::kPr},
+                        {1, 4, 6});
 }
 
 TEST(SyncPipeline, BcBitIdenticalAcrossModes) {
-  // BC pushes two tagged messages per peer per superstep (sigma
-  // partials + the finalized-level broadcast), so it exercises the
-  // conservative post-communicate handshake backfill and the
-  // per-sender tag sort in drain_from.
-  const auto g = test::small_rmat(7, 6);
-  const VertexT src = test::first_connected_vertex(g);
-  for (const int gpus : {2, 5}) {
-    auto m_bsp = test::test_machine(gpus);
-    auto m_pipe = test::test_machine(gpus);
-    const auto bsp = prim::run_bc(g, m_bsp, test::config_for(gpus), {src});
-    const auto pipe =
-        prim::run_bc(g, m_pipe, pipeline_config(gpus), {src});
-    const std::string label = "gpus=" + std::to_string(gpus);
-    EXPECT_EQ(bsp.bc, pipe.bc) << label;
-    EXPECT_EQ(bsp.total_iterations, pipe.total_iterations) << label;
-    expect_same_counters(bsp.stats, pipe.stats, label);
-  }
+  // BC pushes two tagged messages per peer per superstep, exercising
+  // the post-communicate handshake backfill and drain_from's tag sort.
+  expect_pipeline_holds(test::small_rmat(7, 6),
+                        {.prim = test::space::Prim::kBc}, {2, 5});
 }
 
 TEST(SyncPipeline, BroadcastStrategyBitIdenticalAcrossModes) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  auto m_bsp = test::test_machine(4);
-  auto m_pipe = test::test_machine(4);
-  core::Config cfg = test::config_for(4);
-  cfg.comm = core::CommStrategy::kBroadcast;
-  core::Config pcfg = cfg;
-  pcfg.sync_mode = core::SyncMode::kEventPipeline;
-  const auto bsp = prim::run_bfs(g, src, m_bsp, cfg);
-  const auto pipe = prim::run_bfs(g, src, m_pipe, pcfg);
-  EXPECT_EQ(bsp.labels, pipe.labels);
-  expect_same_counters(bsp.stats, pipe.stats, "broadcast");
+  expect_pipeline_holds(test::small_rmat(),
+                        {.cfg = {.comm = core::CommStrategy::kBroadcast}},
+                        {4});
 }
 
 TEST(SyncPipeline, OverheadChargesOneBarrierAndOverlapHidesComm) {

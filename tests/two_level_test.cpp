@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "config_space.hpp"
 #include "core/comm.hpp"
 #include "core/problem.hpp"
 #include "primitives/bfs.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "vgpu/fault.hpp"
@@ -196,47 +196,25 @@ void expect_same_items(const vgpu::RunStats& base, const vgpu::RunStats& got,
   EXPECT_EQ(base.total_combine_items, got.total_combine_items) << label;
 }
 
-void expect_link_partition(const vgpu::RunStats& s,
-                           const std::string& label) {
-  EXPECT_EQ(s.intra_node_bytes + s.inter_node_bytes, s.total_comm_bytes)
-      << label;
-}
-
+// Each two-level draw reruns flat and must keep results and item
+// counters, and, under raw and auto, ship no more inter-node bytes
+// (tests/config_space.hpp).
 TEST(TwoLevel, BfsBitIdenticalToFlatAcrossModesAndFormats) {
   const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
   for (const core::SyncMode mode :
        {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
     for (const core::WireFormat f :
          {core::WireFormat::kRawIds, core::WireFormat::kAuto}) {
-      auto m_flat = vgpu::Machine::create_cluster("k40", 2, 2);
-      core::Config flat_cfg = cluster_config(4, mode, f, false);
-      flat_cfg.mark_predecessors = true;
-      const auto flat = prim::run_bfs(g, src, m_flat, flat_cfg);
-
-      auto m_two = vgpu::Machine::create_cluster("k40", 2, 2);
-      core::Config two_cfg = cluster_config(4, mode, f, true);
-      two_cfg.mark_predecessors = true;
-      const auto two = prim::run_bfs(g, src, m_two, two_cfg);
-
-      const std::string label = std::string("mode=") + to_string(mode) +
-                                " fmt=" + to_string(f);
-      EXPECT_EQ(flat.labels, two.labels) << label;
-      EXPECT_EQ(flat.preds, two.preds) << label;
-      expect_same_items(flat.stats, two.stats, label);
-      expect_link_partition(flat.stats, label + " flat");
-      expect_link_partition(two.stats, label + " two");
-
-      // Flat never relays; two-level must (the cluster forces
-      // cross-node traffic for this graph).
-      EXPECT_EQ(flat.stats.gateway_merges, 0u) << label;
-      EXPECT_EQ(flat.stats.gateway_dedup_items, 0u) << label;
-      EXPECT_GT(flat.stats.inter_node_bytes, 0u) << label;
-      EXPECT_GT(two.stats.gateway_merges, 0u) << label;
-      // The merged re-encoded hop never ships more inter-node bytes
-      // than the flat per-sender pushes.
-      EXPECT_LE(two.stats.inter_node_bytes, flat.stats.inter_node_bytes)
-          << label;
+      const auto two = test::space::expect_holds(
+          g, {.gpus = 4,
+              .nodes = 2,
+              .cfg = {.sync_mode = mode,
+                      .mark_predecessors = true,
+                      .wire_format = f,
+                      .two_level_combine = true}});
+      // The 2x2 cluster forces cross-node traffic for this graph.
+      EXPECT_GT(two.stats.inter_node_bytes, 0u);
+      EXPECT_GT(two.stats.gateway_merges, 0u);
     }
   }
 }
@@ -246,23 +224,16 @@ TEST(TwoLevel, SsspBitIdenticalToFlatOnWideCluster) {
   // order would change the frontier and H. 4x2 puts three quarters of
   // the traffic on the staged path.
   const auto g = test::small_weighted_rmat();
-  const VertexT src = test::first_connected_vertex(g);
   for (const core::SyncMode mode :
        {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
-    auto m_flat = vgpu::Machine::create_cluster("k40", 2, 4);
-    const auto flat = prim::run_sssp(
-        g, src, m_flat,
-        cluster_config(8, mode, core::WireFormat::kAuto, false));
-    auto m_two = vgpu::Machine::create_cluster("k40", 2, 4);
-    const auto two = prim::run_sssp(
-        g, src, m_two,
-        cluster_config(8, mode, core::WireFormat::kAuto, true));
-    const std::string label = std::string("mode=") + to_string(mode);
-    EXPECT_EQ(flat.dist, two.dist) << label;
-    EXPECT_EQ(flat.preds, two.preds) << label;
-    expect_same_items(flat.stats, two.stats, label);
-    expect_link_partition(two.stats, label);
-    EXPECT_GT(two.stats.gateway_merges, 0u) << label;
+    const auto two = test::space::expect_holds(
+        g, {.prim = test::space::Prim::kSssp,
+            .gpus = 8,
+            .nodes = 4,
+            .cfg = {.sync_mode = mode,
+                    .wire_format = core::WireFormat::kAuto,
+                    .two_level_combine = true}});
+    EXPECT_GT(two.stats.gateway_merges, 0u);
   }
 }
 

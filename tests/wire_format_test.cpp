@@ -7,25 +7,25 @@
 // to kRawIds across both sync schedules and every GPU count — only
 // bytes-on-wire (total_comm_bytes, modeled comm time) and the modeled
 // encode/decode kernel charges (total_vertices, total_launches) may
-// differ. These tests pin that contract, the density heuristic's
-// fallback chain, and the adversarial encoder inputs the varint/bitmap
-// paths must survive.
+// differ. These tests pin that contract, kAuto's smallest-encoding
+// choice, the fallback chain, and the adversarial encoder inputs the
+// varint/bitmap paths must survive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "config_space.hpp"
 #include "core/comm.hpp"
 #include "core/enactor.hpp"
 #include "core/frontier.hpp"
 #include "core/problem.hpp"
-#include "primitives/bc.hpp"
 #include "primitives/bfs.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_support.hpp"
 #include "util/random.hpp"
 #include "vgpu/cost.hpp"
@@ -47,140 +47,58 @@ core::Config wire_config(int gpus, WireFormat f, core::SyncMode mode) {
   return cfg;
 }
 
-/// The counters required invariant across wire formats: everything
-/// item-shaped. Bytes, vertex work, and launches legitimately move
-/// (encoded payloads are smaller; encode/decode are extra kernels).
-void expect_same_items(const vgpu::RunStats& base, const vgpu::RunStats& got,
-                       const std::string& label) {
-  EXPECT_EQ(base.iterations, got.iterations) << label;
-  EXPECT_EQ(base.total_edges, got.total_edges) << label;
-  EXPECT_EQ(base.total_comm_items, got.total_comm_items) << label;
-  EXPECT_EQ(base.total_combine_items, got.total_combine_items) << label;
-}
-
-/// Three-way byte split always sums to the total pushed.
-void expect_bytes_partition(const vgpu::RunStats& s,
-                            const std::string& label) {
-  EXPECT_EQ(s.wire_bytes_raw + s.wire_bytes_bitmap + s.wire_bytes_delta,
-            s.total_comm_bytes)
-      << label;
-  // Everything encoded is decoded exactly once, transparently.
-  EXPECT_EQ(s.wire_encode_vertices, s.wire_decode_vertices) << label;
-}
-
 // ---------------------------------------------------------------------
-// Differential: results + item counts + per-iteration frontiers across
-// {raw, bitmap, varint, auto} x {BSP, pipeline} x 1..8 vGPUs.
+// Differential: each draw of `d` reruns under raw and must keep results,
+// item counts and the byte partitions, shipping no more bytes than raw
+// (tests/config_space.hpp).
 // ---------------------------------------------------------------------
 
-TEST(WireFormat, BfsBitIdenticalAcrossFormatsModesAndWidths) {
-  const auto g = test::small_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const int gpus : {1, 2, 4, 8}) {
+void expect_formats_hold(const graph::Graph& g, test::space::Draw d,
+                         std::initializer_list<int> widths,
+                         std::initializer_list<WireFormat> formats) {
+  for (const int gpus : widths) {
     for (const core::SyncMode mode :
          {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
-      core::Config ref_cfg = wire_config(gpus, WireFormat::kRawIds, mode);
-      ref_cfg.mark_predecessors = true;
-      auto m_ref = test::test_machine(gpus);
-      const auto base = prim::run_bfs(g, src, m_ref, ref_cfg);
-      for (const WireFormat f :
-           {WireFormat::kBitmap, WireFormat::kDeltaVarint,
-            WireFormat::kAuto}) {
-        auto m = test::test_machine(gpus);
-        core::Config cfg = wire_config(gpus, f, mode);
-        cfg.mark_predecessors = true;
-        const auto got = prim::run_bfs(g, src, m, cfg);
-        const std::string label = "gpus=" + std::to_string(gpus) + " mode=" +
-                                  to_string(mode) + " fmt=" + to_string(f);
-        EXPECT_EQ(base.labels, got.labels) << label;
-        EXPECT_EQ(base.preds, got.preds) << label;
-        expect_same_items(base.stats, got.stats, label);
-        expect_bytes_partition(got.stats, label);
-        // Compressed formats never ship more bytes than raw (the
-        // encoder falls back to raw when compression would inflate).
-        EXPECT_LE(got.stats.total_comm_bytes, base.stats.total_comm_bytes)
-            << label;
+      for (const WireFormat f : formats) {
+        d.gpus = gpus;
+        d.cfg.sync_mode = mode;
+        d.cfg.wire_format = f;
+        test::space::expect_holds(g, d);
       }
     }
   }
+}
+
+TEST(WireFormat, BfsBitIdenticalAcrossFormatsModesAndWidths) {
+  expect_formats_hold(test::small_rmat(), {.cfg = {.mark_predecessors = true}},
+                      {1, 2, 4, 8},
+                      {WireFormat::kBitmap, WireFormat::kDeltaVarint,
+                       WireFormat::kAuto});
 }
 
 TEST(WireFormat, SsspBitIdenticalAcrossFormatsAndModes) {
   // SSSP's intra-iteration relaxations are emission-order sensitive:
   // any within-message reorder would change the emitted frontier and
-  // with it H. Exact equality here proves the encodings preserve
-  // order, not just membership.
-  const auto g = test::small_weighted_rmat();
-  const VertexT src = test::first_connected_vertex(g);
-  for (const int gpus : {3, 6}) {
-    for (const core::SyncMode mode :
-         {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
-      auto m_ref = test::test_machine(gpus);
-      const auto base = prim::run_sssp(
-          g, src, m_ref, wire_config(gpus, WireFormat::kRawIds, mode));
-      for (const WireFormat f : {WireFormat::kDeltaVarint, WireFormat::kAuto}) {
-        auto m = test::test_machine(gpus);
-        const auto got = prim::run_sssp(g, src, m, wire_config(gpus, f, mode));
-        const std::string label = "gpus=" + std::to_string(gpus) + " mode=" +
-                                  to_string(mode) + " fmt=" + to_string(f);
-        EXPECT_EQ(base.dist, got.dist) << label;
-        EXPECT_EQ(base.preds, got.preds) << label;
-        expect_same_items(base.stats, got.stats, label);
-        expect_bytes_partition(got.stats, label);
-      }
-    }
-  }
+  // with it H.
+  expect_formats_hold(test::small_weighted_rmat(),
+                      {.prim = test::space::Prim::kSssp}, {3, 6},
+                      {WireFormat::kDeltaVarint, WireFormat::kAuto});
 }
 
 TEST(WireFormat, PagerankBitIdenticalAcrossFormatsAndModes) {
-  // PR's communicate() override routes border accumulators itself (the
-  // primitive-owned encode call path); float ranks make any combine
-  // reorder visible as an FP-addition-order difference.
-  const auto g = test::small_rmat();
-  for (const int gpus : {4, 6}) {
-    for (const core::SyncMode mode :
-         {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
-      auto m_ref = test::test_machine(gpus);
-      const auto base = prim::run_pagerank(
-          g, m_ref, wire_config(gpus, WireFormat::kRawIds, mode));
-      for (const WireFormat f :
-           {WireFormat::kBitmap, WireFormat::kDeltaVarint,
-            WireFormat::kAuto}) {
-        auto m = test::test_machine(gpus);
-        const auto got =
-            prim::run_pagerank(g, m, wire_config(gpus, f, mode));
-        const std::string label = "gpus=" + std::to_string(gpus) + " mode=" +
-                                  to_string(mode) + " fmt=" + to_string(f);
-        EXPECT_EQ(base.rank, got.rank) << label;
-        expect_same_items(base.stats, got.stats, label);
-        expect_bytes_partition(got.stats, label);
-      }
-    }
-  }
+  // PR's communicate() override encodes its border accumulators itself;
+  // float ranks make any combine reorder visible.
+  expect_formats_hold(test::small_rmat(), {.prim = test::space::Prim::kPr},
+                      {4, 6},
+                      {WireFormat::kBitmap, WireFormat::kDeltaVarint,
+                       WireFormat::kAuto});
 }
 
 TEST(WireFormat, BcBitIdenticalAcrossFormats) {
-  // BC pushes three tagged message kinds (sigma partials, finalized-
-  // level broadcasts, delta partials), all through the primitive-owned
-  // encode calls.
-  const auto g = test::small_rmat(7, 6);
-  const VertexT src = test::first_connected_vertex(g);
-  for (const core::SyncMode mode :
-       {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
-    auto m_ref = test::test_machine(4);
-    const auto base = prim::run_bc(
-        g, m_ref, wire_config(4, WireFormat::kRawIds, mode), {src});
-    for (const WireFormat f : {WireFormat::kDeltaVarint, WireFormat::kAuto}) {
-      auto m = test::test_machine(4);
-      const auto got = prim::run_bc(g, m, wire_config(4, f, mode), {src});
-      const std::string label =
-          std::string("mode=") + to_string(mode) + " fmt=" + to_string(f);
-      EXPECT_EQ(base.bc, got.bc) << label;
-      EXPECT_EQ(base.total_iterations, got.total_iterations) << label;
-      expect_same_items(base.stats, got.stats, label);
-      expect_bytes_partition(got.stats, label);
-    }
-  }
+  // BC encodes three tagged message kinds (sigma partials, finalized-
+  // level broadcasts, delta partials) itself.
+  expect_formats_hold(test::small_rmat(7, 6), {.prim = test::space::Prim::kBc},
+                      {4}, {WireFormat::kDeltaVarint, WireFormat::kAuto});
 }
 
 TEST(WireFormat, PerIterationFrontiersIdenticalUnderAuto) {
@@ -219,29 +137,14 @@ TEST(WireFormat, PerIterationFrontiersIdenticalUnderAuto) {
 TEST(WireFormat, AutoOnDenseBfsUsesBothFormatsAndShrinksBytes) {
   // Non-vacuous compression: with dense frontiers enabled, kAuto must
   // exercise *both* compressed formats in one run (bitmap on the dense
-  // middle supersteps, varint on the sparse fringes) and strictly
-  // reduce bytes on the wire at identical item counts.
-  const auto g = test::small_rmat(10, 16);
-  const VertexT src = test::first_connected_vertex(g);
-  auto m_raw = test::test_machine(4);
-  auto m_auto = test::test_machine(4);
-  core::Config raw_cfg = wire_config(4, WireFormat::kRawIds,
-                                     core::SyncMode::kBspBarrier);
-  raw_cfg.dense_threshold = 0.05;
-  core::Config auto_cfg = raw_cfg;
-  auto_cfg.wire_format = WireFormat::kAuto;
-  const auto raw = prim::run_bfs(g, src, m_raw, raw_cfg);
-  const auto comp = prim::run_bfs(g, src, m_auto, auto_cfg);
-  EXPECT_EQ(raw.labels, comp.labels);
-  expect_same_items(raw.stats, comp.stats, "auto");
-  expect_bytes_partition(comp.stats, "auto");
-  EXPECT_GT(comp.stats.wire_bytes_bitmap, 0u);
-  EXPECT_GT(comp.stats.wire_bytes_delta, 0u);
-  EXPECT_LT(comp.stats.total_comm_bytes, raw.stats.total_comm_bytes);
-  // Raw runs report all bytes as raw and never touch the codecs.
-  EXPECT_EQ(raw.stats.wire_bytes_raw, raw.stats.total_comm_bytes);
-  EXPECT_EQ(raw.stats.wire_encode_vertices, 0u);
-  EXPECT_EQ(raw.stats.wire_decode_vertices, 0u);
+  // middle supersteps, varint on the sparse fringes); the draw's raw
+  // rerun keeps results and item counts and ships strictly more bytes.
+  const auto run = test::space::expect_holds(
+      test::small_rmat(10, 16),
+      {.gpus = 4,
+       .cfg = {.dense_threshold = 0.05, .wire_format = WireFormat::kAuto}});
+  EXPECT_GT(run.stats.wire_bytes_bitmap, 0u);
+  EXPECT_GT(run.stats.wire_bytes_delta, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -261,11 +164,10 @@ Message make_msg(std::vector<VertexT> vertices) {
 /// Encode under `requested`, assert the applied format, decode, and
 /// require the exact original sequence back.
 void round_trip(std::vector<VertexT> vertices, WireFormat requested,
-                WireFormat expect_applied, std::size_t universe = 1u << 20) {
+                WireFormat expect_applied) {
   Message msg = make_msg(vertices);
   const std::size_t raw_bytes = vertices.size() * sizeof(VertexT);
-  const WireFormat applied =
-      core::wire::encode(msg, requested, 1.0 / 16, universe);
+  const WireFormat applied = core::wire::encode(msg, requested);
   EXPECT_EQ(applied, expect_applied)
       << "requested=" << to_string(requested) << " n=" << vertices.size();
   EXPECT_EQ(msg.size(), vertices.size());
@@ -284,7 +186,7 @@ void round_trip(std::vector<VertexT> vertices, WireFormat requested,
 TEST(WireFormat, EncodeEmptyBucketIsRawNoop) {
   for (const WireFormat f : kAllFormats) {
     Message msg = make_msg({});
-    EXPECT_EQ(core::wire::encode(msg, f, 1.0 / 16, 1024),
+    EXPECT_EQ(core::wire::encode(msg, f),
               WireFormat::kRawIds);
     EXPECT_TRUE(msg.empty());
     EXPECT_EQ(msg.wire.size(), 0u);
@@ -314,16 +216,19 @@ TEST(WireFormat, EncodeMaxIdVertexRoundTrips) {
 }
 
 TEST(WireFormat, EncodeAllVerticesDenseUsesBitmap) {
-  // The canonical dense superstep: every vertex of the universe, in
-  // ascending order. universe bits <<< universe * 4 bytes.
+  // The canonical dense superstep: every vertex of a range, ascending.
   std::vector<VertexT> all(4096);
   std::iota(all.begin(), all.end(), 0u);
-  round_trip(all, WireFormat::kBitmap, WireFormat::kBitmap, all.size());
-  round_trip(all, WireFormat::kAuto, WireFormat::kBitmap, all.size());
-  // Partial-word tail: a universe not divisible by 64.
+  round_trip(all, WireFormat::kBitmap, WireFormat::kBitmap);
+  round_trip(all, WireFormat::kAuto, WireFormat::kBitmap);
+  // Partial-word tail: a range not divisible by 64.
   std::vector<VertexT> odd(1000 - 17);
   std::iota(odd.begin(), odd.end(), 17u);
-  round_trip(odd, WireFormat::kBitmap, WireFormat::kBitmap, 1000);
+  round_trip(odd, WireFormat::kBitmap, WireFormat::kBitmap);
+  // A tie goes to the bitmap: 15 IDs below 64 cost 16 bytes either way.
+  std::vector<VertexT> tie(15);
+  std::iota(tie.begin(), tie.end(), 0u);
+  round_trip(tie, WireFormat::kAuto, WireFormat::kBitmap);
 }
 
 TEST(WireFormat, BitmapFallsBackOnNonAscendingInput) {
@@ -334,7 +239,7 @@ TEST(WireFormat, BitmapFallsBackOnNonAscendingInput) {
   round_trip({4, 4, 4, 9, 2, 2, 100, 3}, WireFormat::kBitmap,
              WireFormat::kDeltaVarint);
   round_trip({4, 4, 4, 9, 2, 2, 100, 3}, WireFormat::kAuto,
-             WireFormat::kDeltaVarint, /*universe=*/8);
+             WireFormat::kDeltaVarint);
 }
 
 TEST(WireFormat, VarintFallsBackToRawWhenCompressionInflates) {
@@ -344,8 +249,7 @@ TEST(WireFormat, VarintFallsBackToRawWhenCompressionInflates) {
     hostile.push_back(i % 2 == 0 ? 0xFFFFFFF0u + (i & 3) : i);
   }
   Message msg = make_msg(hostile);
-  EXPECT_EQ(core::wire::encode(msg, WireFormat::kDeltaVarint, 1.0 / 16,
-                               1u << 20),
+  EXPECT_EQ(core::wire::encode(msg, WireFormat::kDeltaVarint),
             WireFormat::kRawIds);
   // The message is untouched raw — no wire buffer, vertices intact.
   EXPECT_EQ(msg.encoding, WireFormat::kRawIds);
@@ -353,73 +257,59 @@ TEST(WireFormat, VarintFallsBackToRawWhenCompressionInflates) {
   EXPECT_EQ(msg.vertices[1], hostile[1]);
 }
 
-TEST(WireFormat, AutoHeuristicPicksBitmapOnlyWhenDense) {
-  std::vector<VertexT> sparse = {0, 100, 5000, 90000};
-  round_trip(sparse, WireFormat::kAuto, WireFormat::kDeltaVarint,
-             /*universe=*/1u << 20);
-  std::vector<VertexT> dense(512);
-  std::iota(dense.begin(), dense.end(), 0u);
-  for (auto& v : dense) v *= 2;  // every other vertex of a 1024 universe
-  round_trip(dense, WireFormat::kAuto, WireFormat::kBitmap,
-             /*universe=*/1024);
-}
-
-TEST(WireFormat, ClusterUniverseDensityEvaluation) {
-  // Cluster topology case: the two-level combine (§14) re-encodes a
-  // gateway's merged payload against the destination *node's* hosted
-  // universe (sum over its GPUs) rather than one GPU's. The codecs'
-  // contract must hold for either universe: the decoded sequence is
-  // identical no matter which universe judged the density, and when a
-  // sequence is dense under both universes the format decision matches
-  // too. Model a 4-GPU node with 1024 hosted vertices per GPU.
-  constexpr std::size_t kGpuUniverse = 1024;
-  constexpr std::size_t kNodeUniverse = 4 * kGpuUniverse;
-
-  // Dense under both universes (every vertex of the first GPU's range):
-  // 1024 / 1024 and 1024 / 4096 both clear the 1/16 threshold, so both
-  // evaluations pick bitmap, and decode returns the same sequence.
-  std::vector<VertexT> dense(kGpuUniverse);
-  std::iota(dense.begin(), dense.end(), 0u);
-  round_trip(dense, WireFormat::kAuto, WireFormat::kBitmap, kGpuUniverse);
-  round_trip(dense, WireFormat::kAuto, WireFormat::kBitmap, kNodeUniverse);
-
-  // Sparse under both: varint either way, and the varint stream does
-  // not depend on the universe at all — byte-identical wires.
-  const std::vector<VertexT> sparse = {3, 97, 511, 700, 2048, 4000};
-  Message a = make_msg(sparse);
-  Message b = make_msg(sparse);
-  EXPECT_EQ(core::wire::encode(a, WireFormat::kAuto, 1.0 / 16, kGpuUniverse),
-            WireFormat::kDeltaVarint);
-  EXPECT_EQ(core::wire::encode(b, WireFormat::kAuto, 1.0 / 16, kNodeUniverse),
-            WireFormat::kDeltaVarint);
-  ASSERT_EQ(a.wire.size(), b.wire.size());
-  for (std::size_t i = 0; i < a.wire.size(); ++i) {
-    EXPECT_EQ(a.wire[i], b.wire[i]) << "varint byte " << i;
+TEST(WireFormat, AutoPicksTheSmallerEncoding) {
+  // Sparse IDs take the varint, every other ID below 1024 the bitmap.
+  round_trip({0, 100, 5000, 90000}, WireFormat::kAuto,
+             WireFormat::kDeltaVarint);
+  std::vector<VertexT> every_other(512);
+  for (std::size_t i = 0; i < every_other.size(); ++i) {
+    every_other[i] = static_cast<VertexT>(2 * i);
   }
-  core::wire::decode(a);
-  core::wire::decode(b);
-  ASSERT_EQ(a.vertices.size(), sparse.size());
-  ASSERT_EQ(b.vertices.size(), sparse.size());
-  for (std::size_t i = 0; i < sparse.size(); ++i) {
-    EXPECT_EQ(a.vertices[i], sparse[i]);
-    EXPECT_EQ(b.vertices[i], sparse[i]);
+  round_trip(every_other, WireFormat::kAuto, WireFormat::kBitmap);
+  // 128 IDs at stride 8: a 136-byte bitmap against a 130-byte varint
+  // (a 2-byte count plus one byte per delta).
+  std::vector<VertexT> strided(128);
+  for (std::size_t i = 0; i < strided.size(); ++i) {
+    strided[i] = static_cast<VertexT>(8 * i);
   }
-
-  // The boundary case: 128 vertices is 128/1024 = 1/8 dense for one
-  // GPU (bitmap) but 128/4096 = 1/32 for the node (varint). The
-  // *decision* legitimately differs — the *decoded result* must not.
-  std::vector<VertexT> boundary(128);
-  std::iota(boundary.begin(), boundary.end(), 0u);
-  for (auto& v : boundary) v *= 8;  // ascending, spread over the GPU range
-  round_trip(boundary, WireFormat::kAuto, WireFormat::kBitmap, kGpuUniverse);
-  round_trip(boundary, WireFormat::kAuto, WireFormat::kDeltaVarint,
-             kNodeUniverse);
+  Message msg = make_msg(strided);
+  ASSERT_EQ(core::wire::encode(msg, WireFormat::kAuto),
+            WireFormat::kDeltaVarint);
+  EXPECT_EQ(msg.payload_bytes(), 130u);
+  // Seeded ascending runs at every density, some with two IDs swapped:
+  // auto never ships more than a forced bitmap, a forced varint or raw.
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    util::Rng rng(seed);
+    std::vector<VertexT> ids(1 + rng.next_below(300));
+    const std::uint64_t max_gap = 1 + rng.next_below(200);
+    VertexT v = static_cast<VertexT>(rng.next_below(1000));
+    for (auto& id : ids) {
+      id = v;
+      v += static_cast<VertexT>(1 + rng.next_below(max_gap));
+    }
+    if (ids.size() > 1 && rng.next_bool(0.25)) {
+      std::swap(ids[rng.next_below(ids.size())], ids[0]);
+    }
+    std::size_t smallest = ids.size() * sizeof(VertexT);
+    for (const WireFormat f : {WireFormat::kBitmap, WireFormat::kDeltaVarint}) {
+      Message forced = make_msg(ids);
+      core::wire::encode(forced, f);
+      smallest = std::min(smallest, forced.payload_bytes());
+    }
+    Message chosen = make_msg(ids);
+    core::wire::encode(chosen, WireFormat::kAuto);
+    EXPECT_LE(chosen.payload_bytes(), smallest) << "seed " << seed;
+    core::wire::decode(chosen);
+    ASSERT_EQ(chosen.vertices.size(), ids.size()) << "seed " << seed;
+    EXPECT_TRUE(std::equal(ids.begin(), ids.end(), chosen.vertices.begin()))
+        << "seed " << seed;
+  }
 }
 
 TEST(WireFormat, DecodeRejectsCorruptPayloads) {
   // Truncated varint stream.
   Message msg = make_msg({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  ASSERT_EQ(core::wire::encode(msg, WireFormat::kDeltaVarint, 1.0 / 16, 1024),
+  ASSERT_EQ(core::wire::encode(msg, WireFormat::kDeltaVarint),
             WireFormat::kDeltaVarint);
   msg.wire.resize(msg.wire.size() - 2);
   EXPECT_THROW(core::wire::decode(msg), Error);
@@ -428,7 +318,7 @@ TEST(WireFormat, DecodeRejectsCorruptPayloads) {
   std::vector<VertexT> dense(256);
   std::iota(dense.begin(), dense.end(), 0u);
   Message bm = make_msg(dense);
-  ASSERT_EQ(core::wire::encode(bm, WireFormat::kBitmap, 1.0 / 16, 256),
+  ASSERT_EQ(core::wire::encode(bm, WireFormat::kBitmap),
             WireFormat::kBitmap);
   bm.wire[8] ^= 0xFF;  // flip 8 bits of the first word
   EXPECT_THROW(core::wire::decode(bm), Error);
@@ -485,7 +375,7 @@ TEST(WireFormat, DecodeSurvivesSeededMutations) {
     Message valid = make_msg(ids);
     const WireFormat want =
         bitmap ? WireFormat::kBitmap : WireFormat::kDeltaVarint;
-    ASSERT_EQ(core::wire::encode(valid, want, 1.0 / 16, 1u << 20), want)
+    ASSERT_EQ(core::wire::encode(valid, want), want)
         << "seed " << seed;
     for (int mutation = 0; mutation < 4; ++mutation) {
       Message m;
@@ -538,7 +428,7 @@ TEST(WireFormat, PooledMessagesRecycleWireState) {
     std::iota(dense.begin(), dense.end(), 0u);
     msg.set_layout(0, 0, dense.size());
     for (std::size_t i = 0; i < dense.size(); ++i) msg.vertices[i] = dense[i];
-    ASSERT_EQ(core::wire::encode(msg, WireFormat::kBitmap, 1.0 / 16, 256),
+    ASSERT_EQ(core::wire::encode(msg, WireFormat::kBitmap),
               WireFormat::kBitmap);
     bus.release(std::move(msg));
   }
