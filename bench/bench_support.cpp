@@ -142,16 +142,20 @@ Outcome run_primitive(const std::string& primitive, const graph::Graph& g,
 
 QueryWorkload parse_query_workload(const util::Options& options,
                                    QueryWorkload defaults) {
+  // Range-check the parsed values before narrowing them, so -1 or
+  // 2^32 + 1 cannot wrap into range.
+  const long long queries = options.get_int(
+      "queries", static_cast<long long>(defaults.queries));
+  const long long batch_width =
+      options.get_int("batch-width", defaults.batch_width);
+  MGG_REQUIRE(queries >= 1, "--queries must be >= 1");
+  MGG_REQUIRE(batch_width >= 1 && batch_width <= 64,
+              "--batch-width must be in [1, 64]");
   QueryWorkload w = defaults;
-  w.queries = static_cast<std::size_t>(options.get_int(
-      "queries", static_cast<long long>(defaults.queries)));
+  w.queries = static_cast<std::size_t>(queries);
   w.seed = static_cast<std::uint64_t>(options.get_int(
       "query-seed", static_cast<long long>(defaults.seed)));
-  w.batch_width = static_cast<int>(
-      options.get_int("batch-width", defaults.batch_width));
-  MGG_REQUIRE(w.queries >= 1, "--queries must be >= 1");
-  MGG_REQUIRE(w.batch_width >= 1 && w.batch_width <= 64,
-              "--batch-width must be in [1, 64]");
+  w.batch_width = static_cast<int>(batch_width);
   return w;
 }
 

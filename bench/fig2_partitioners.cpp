@@ -8,7 +8,9 @@
 // spots with small margins and takes far longer to partition — which
 // is why every other experiment uses random.
 //
-// Flags: --gpus=N (default 4), --csv=PATH.
+// Flags: --gpus=N (default 4), --csv=PATH. The table holds modeled
+// speedups only; each workload's host partitioning times (wall clock)
+// go to stderr.
 #include <cstdio>
 
 #include "bench_support.hpp"
@@ -30,9 +32,7 @@ int main(int argc, char** argv) {
 
   util::Table table("Fig. 2: speedup on " + std::to_string(gpus) +
                     " GPUs by partition strategy");
-  table.set_columns({"workload", "random", "biasrandom", "metis",
-                     "partition ms (rnd/bias/metis)"},
-                    2);
+  table.set_columns({"workload", "random", "biasrandom", "metis"}, 2);
 
   for (const auto& primitive : primitives) {
     for (const auto& name : datasets) {
@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
           bench::run_primitive(primitive, ds.graph, "k40", base_cfg, scale)
               .modeled_ms;
 
-      std::vector<util::Cell> row = {primitive + "+" + name};
+      const std::string workload = primitive + "+" + name;
+      std::vector<util::Cell> row = {workload};
       std::string part_times;
       for (const auto& part_name : partitioners) {
         auto cfg = bench::config_for_primitive(primitive, gpus, seed);
@@ -65,7 +66,9 @@ int main(int argc, char** argv) {
                 .modeled_ms;
         row.push_back(base_ms / ms);
       }
-      row.push_back(part_times);
+      std::fprintf(stderr,
+                   "%s partition ms (random / biasrandom / metis): %s\n",
+                   workload.c_str(), part_times.c_str());
       table.add_row(std::move(row));
     }
   }

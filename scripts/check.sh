@@ -4,7 +4,7 @@
 # concurrency-sensitive suites (the comm layer, the enactor's control
 # threads, the handshake table and fault paths), then an
 # AddressSanitizer + UndefinedBehaviorSanitizer build running every
-# test.
+# test. Both sanitizer trees build with -Werror too.
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #                         [werror-build-dir]
 set -euo pipefail
@@ -103,7 +103,7 @@ echo "==> serve_throughput acceptance gate"
 "$BUILD/bench/serve_throughput"
 
 echo "==> serve-layer resilience suites (explicit)"
-# Supervisor policy units (backoff, batch-queue ordering, restart /
+# Supervisor policy units (batch-queue ordering, retry and restart /
 # quarantine budgets) plus the chaos-facing service behaviors:
 # deadlines, lane restart with survivor takeover, admission shedding
 # and the lossless-accounting invariant (docs/architecture.md §15).
@@ -142,7 +142,7 @@ echo "==> sec5b sync-mode acceptance gate (writes BENCH_sync.json)"
 "$BUILD/bench/sec5b_sync_latency" --json="$BUILD/BENCH_sync.json"
 
 echo "==> tsan: build mgg_tests with -fsanitize=thread"
-cmake -B "$TSAN_BUILD" -S . \
+cmake -B "$TSAN_BUILD" -S . -DMGG_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
@@ -177,7 +177,7 @@ TSAN_FILTER+=':ParallelExec.*'
 # queue, the stats mutex, and Tracer batch tags from lane threads).
 TSAN_FILTER+=':MsBfs.*:Serve.*'
 # Resilience layer: lane threads fail/restart while the supervisor
-# mutates shared state, the batch queue re-orders under backoff, the
+# mutates shared state, lanes requeue into the shared batch queue, the
 # open-loop dispatcher admits from its own thread, and per-query
 # resolution races are claimed via the single-writer ticket protocol.
 TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
@@ -195,7 +195,7 @@ echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined,float-ca
 # GCC's -fsanitize=undefined leaves out float-cast-overflow, the check
 # that catches an out-of-range double -> integer conversion (such as a
 # generator's edge count past SizeT), so it is named on its own.
-cmake -B "$ASAN_BUILD" -S . \
+cmake -B "$ASAN_BUILD" -S . -DMGG_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"

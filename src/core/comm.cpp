@@ -565,7 +565,7 @@ void CommBus::flush_relays() {
     // modeled relay, which must read IDs to merge them.
     for (const Message& m : staged) {
       if (m.relay_encoded) {
-        gw.add_kernel_cost(0, m.vertices.size(), 1, 1.0, "gateway_decode",
+        gw.add_kernel_cost(0, m.vertices.size(), 1, "gateway_decode",
                            vgpu::TraceCategory::kCombine);
       }
     }
@@ -614,17 +614,22 @@ void CommBus::flush_relays() {
       gateway_dedup_items_.fetch_add(staged_items - merged_n,
                                      std::memory_order_relaxed);
       // The merge pass touches every staged vertex once.
-      gw.add_kernel_cost(0, staged_items, 1, 1.0, "gateway_merge",
+      gw.add_kernel_cost(0, staged_items, 1, "gateway_merge",
                          vgpu::TraceCategory::kCombine);
       // Model the merged payload: the surviving vertices, one
       // associate entry of each slot per survivor (the combined
-      // winners), re-encoded once.
+      // winners), re-encoded once. Unless the run ships raw IDs, the
+      // gateway takes the smallest encoding: the merge may make a
+      // forced format larger than what its parts fell back to.
       merged.set_layout(staged[i].vertex_slots, staged[i].value_slots,
                         merged_n);
-      const WireFormat applied =
-          wire::encode(merged, two_level_.wire_format, host_pool_);
+      const WireFormat applied = wire::encode(
+          merged,
+          two_level_.wire_format == WireFormat::kRawIds ? WireFormat::kRawIds
+                                                        : WireFormat::kAuto,
+          host_pool_);
       if (applied != WireFormat::kRawIds) {
-        gw.add_kernel_cost(0, merged_n, 1, 1.0,
+        gw.add_kernel_cost(0, merged_n, 1,
                            applied == WireFormat::kBitmap
                                ? "wire_encode_bitmap"
                                : "wire_encode_varint",
@@ -668,7 +673,7 @@ void CommBus::decode_batch(int dst, std::vector<Message>& batch) {
     // it feeds. Identical across sync modes — both drain sender by
     // sender and decode each message exactly once.
     machine_->device(dst).add_kernel_cost(
-        0, m.size(), 1, 1.0,
+        0, m.size(), 1,
         m.encoding == WireFormat::kBitmap ? "wire_decode_bitmap"
                                           : "wire_decode_varint",
         vgpu::TraceCategory::kCombine);

@@ -277,8 +277,9 @@ struct WireStats {
 /// flat path.
 struct TwoLevelPolicy {
   bool enabled = false;
-  /// Wire format for the gateway's single inter-node push (the
-  /// re-encode); usually Config::wire_format.
+  /// Whether the gateway's single inter-node push compresses: any
+  /// format but kRawIds re-encodes the merged payload with kAuto.
+  /// Usually Config::wire_format.
   WireFormat wire_format = WireFormat::kRawIds;
 };
 

@@ -51,8 +51,7 @@ EnactorBase::EnactorBase(ProblemBase& problem)
                        &s->advance_temp,
                        &s->advance_temp_edges,
                        &s->dedup,
-                       cfg.scheme,
-                       cfg.load_balance};
+                       cfg.scheme};
     slices_.push_back(std::move(s));
   }
   bus_ = std::make_unique<CommBus>(problem.machine());
@@ -344,8 +343,7 @@ void EnactorBase::run_loop(int gpu) {
             expand_incoming(s, msg);
             s.combine_items += msg.vertices.size();
             // The combine kernel is communication computation (C).
-            s.device->add_kernel_cost(0, msg.vertices.size(), 1, 1.0,
-                                      "combine",
+            s.device->add_kernel_cost(0, msg.vertices.size(), 1, "combine",
                                       vgpu::TraceCategory::kCombine);
           }
         }
@@ -676,7 +674,7 @@ void EnactorBase::encode_for_wire(Slice& s, Message& msg) {
   // compression runs. One launch over the message's n vertices,
   // identical across sync modes (encode happens once per message at
   // package time in both schedules).
-  s.device->add_kernel_cost(0, n, 1, 1.0,
+  s.device->add_kernel_cost(0, n, 1,
                             applied == WireFormat::kBitmap
                                 ? "wire_encode_bitmap"
                                 : "wire_encode_varint");
@@ -746,7 +744,7 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
         // The single packaging pass produced every peer's payload, so
         // the whole charge lands before the first push: each transfer
         // becomes ready the moment packaging finished.
-        s.device->add_kernel_cost(0, out_items, 1, 1.0, "split_package");
+        s.device->add_kernel_cost(0, out_items, 1, "split_package");
         chunk_vertices = out_items;
         chunk_launches = 1;
       }
@@ -782,8 +780,7 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
       if (pipeline_) {
         // This peer's slice of the packaging kernel: its transfer may
         // start once this chunk is done, not after the whole pass.
-        s.device->add_kernel_cost(0, sources.size(), 0, 1.0,
-                                  "split_package");
+        s.device->add_kernel_cost(0, sources.size(), 0, "split_package");
         chunk_vertices += sources.size();
       }
       Message message = bus_->acquire();
@@ -809,9 +806,9 @@ void EnactorBase::split_frontier_and_push(Slice& s) {
   // compaction share, plus the launch unless broadcast charged it).
   if (pipeline_) {
     s.device->add_kernel_cost(0, out_items - chunk_vertices,
-                              1 - chunk_launches, 1.0, "split_package");
+                              1 - chunk_launches, "split_package");
   } else {
-    s.device->add_kernel_cost(0, out_items, 1, 1.0, "split_package");
+    s.device->add_kernel_cost(0, out_items, 1, "split_package");
   }
   frontier.swap();
 }

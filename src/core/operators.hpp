@@ -71,7 +71,6 @@
 #include <vector>
 
 #include "core/frontier.hpp"
-#include "core/load_balance.hpp"
 #include "graph/csr.hpp"
 #include "util/array1d.hpp"
 #include "util/bitset.hpp"
@@ -124,24 +123,16 @@ struct OpContext {
   util::Array1D<SizeT>* advance_temp_edges = nullptr;
   util::AtomicBitset* dedup = nullptr;  ///< |V_i|-sized emission mask
   vgpu::AllocationScheme scheme = vgpu::AllocationScheme::kPreallocFusion;
-  /// Advance load-balancing policy (see core/load_balance.hpp). The
-  /// default is Gunrock's edge-balanced mapping; thread-per-vertex is
-  /// available for studying the imbalance penalty on skewed frontiers.
-  LoadBalance load_balance = LoadBalance::kEdgeBalanced;
-  /// Modeled parallel width of one kernel (workers the policy divides
-  /// work across).
-  int lb_workers = 256;
   /// Dense-representation switch point: when the input frontier holds
   /// more than this fraction of |V_i|, advance_filter iterates the
   /// bitmap instead of the compacted queue. 0 disables dense mode (the
   /// default; the enactor only enables it for primitives that declare
   /// support via dense_frontier_capable()).
   double dense_threshold = 0;
-  /// Slice-owned load-balancing scratch (degree scan + worker chunks),
-  /// reused across launches so imbalance accounting performs no
-  /// per-launch heap allocations in steady state.
-  util::PodVector<SizeT> lb_scan{};
-  util::PodVector<WorkChunk> lb_chunks{};
+  /// The split pipeline's degree scan (detail::degree_scan_into),
+  /// reused across launches so sizing performs no per-launch heap
+  /// allocations in steady state.
+  util::PodVector<SizeT> degree_scan{};
   /// Host worker pool backing the parallel execution substrate; null
   /// means every operator runs its historical sequential loop. Either
   /// way the results, W, H, and modeled times are bit-identical — the
@@ -172,8 +163,9 @@ namespace detail {
 // Chunk grains of the parallel phase. Chunk counts are pure functions
 // of the work size (util::ThreadPool::chunk_count), never of the pool
 // width — the cross-thread-count determinism contract.
-inline constexpr std::size_t kSlotGrain = 256;  ///< frontier slots
-inline constexpr std::size_t kWordGrain = 64;   ///< dense bitmap words
+inline constexpr std::size_t kSlotGrain = 256;   ///< frontier slots
+inline constexpr std::size_t kWordGrain = 64;    ///< dense bitmap words
+inline constexpr std::size_t kScanGrain = 4096;  ///< degree-scan slots
 
 /// Grow (never shrink) the chunk scratch and reset the first n slots.
 inline std::vector<AdvanceChunk>& ensure_chunks(OpContext& ctx,
@@ -183,38 +175,52 @@ inline std::vector<AdvanceChunk>& ensure_chunks(OpContext& ctx,
   return ctx.par_chunks;
 }
 
-/// Imbalance factor of this advance under the context's policy: 1.0
-/// for the edge-balanced mapping; max/mean worker load otherwise. The
-/// scan/chunk temporaries live in the context's scratch.
-inline double advance_imbalance(OpContext& ctx,
-                                std::span<const VertexT> input) {
-  if (ctx.load_balance == LoadBalance::kEdgeBalanced || input.empty()) {
-    return 1.0;
+/// The degree prefix scan over a frontier: scan[i] = edges of
+/// frontier[0..i), so scan.back() is the exact advance output bound —
+/// Gunrock's load-balancing scan, which the split pipeline reuses to
+/// size its candidate buffers (§VI-B). Writes into caller-owned scratch
+/// (resized to frontier.size() + 1, no reallocation once warm). With a
+/// pool it runs as a two-pass parallel prefix (per-chunk degree sums,
+/// serial bases, parallel fill); chunk boundaries depend only on the
+/// frontier size and the sums are integers, so the scan matches the
+/// sequential fold bit for bit at every pool width.
+inline void degree_scan_into(const graph::Graph& g,
+                             std::span<const VertexT> frontier,
+                             util::PodVector<SizeT>& scan,
+                             util::ThreadPool* pool) {
+  const std::size_t n = frontier.size();
+  scan.resize(n + 1);
+  scan[0] = 0;
+  const std::size_t n_chunks = util::ThreadPool::chunk_count(n, kScanGrain);
+  if (pool == nullptr || n_chunks == 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      scan[i + 1] = scan[i] + g.degree(frontier[i]);
+    }
+    return;
   }
-  degree_scan_into(*ctx.g, input, ctx.lb_scan, ctx.pool);
-  partition_work_into(ctx.lb_scan, ctx.lb_workers, ctx.load_balance,
-                      ctx.lb_chunks);
-  return chunk_imbalance(ctx.lb_chunks);
-}
-
-/// Same, for a dense input frontier (the implicit work list is the
-/// set bits in ascending vertex order).
-inline double advance_imbalance_dense(OpContext& ctx) {
-  const Frontier& frontier = *ctx.frontier;
-  if (ctx.load_balance == LoadBalance::kEdgeBalanced ||
-      frontier.input_size() == 0) {
-    return 1.0;
-  }
-  ctx.lb_scan.resize(static_cast<std::size_t>(frontier.input_size()) + 1);
-  ctx.lb_scan[0] = 0;
-  std::size_t i = 0;
-  frontier.for_each_input([&](VertexT v) {
-    ctx.lb_scan[i + 1] = ctx.lb_scan[i] + ctx.g->degree(v);
-    ++i;
+  SizeT sums[util::ThreadPool::kMaxChunks];
+  pool->run_chunks(n_chunks, [&](std::size_t c) {
+    const std::size_t b = util::ThreadPool::chunk_begin(n, n_chunks, c);
+    const std::size_t e = util::ThreadPool::chunk_begin(n, n_chunks, c + 1);
+    SizeT sum = 0;
+    for (std::size_t i = b; i < e; ++i) sum += g.degree(frontier[i]);
+    sums[c] = sum;
   });
-  partition_work_into(ctx.lb_scan, ctx.lb_workers, ctx.load_balance,
-                      ctx.lb_chunks);
-  return chunk_imbalance(ctx.lb_chunks);
+  SizeT base = 0;
+  SizeT bases[util::ThreadPool::kMaxChunks];
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    bases[c] = base;
+    base += sums[c];
+  }
+  pool->run_chunks(n_chunks, [&](std::size_t c) {
+    const std::size_t b = util::ThreadPool::chunk_begin(n, n_chunks, c);
+    const std::size_t e = util::ThreadPool::chunk_begin(n, n_chunks, c + 1);
+    SizeT acc = bases[c];
+    for (std::size_t i = b; i < e; ++i) {
+      acc += g.degree(frontier[i]);
+      scan[i + 1] = acc;
+    }
+  });
 }
 
 /// The dense-vs-sparse representation decision shared by every advance
@@ -235,7 +241,7 @@ inline bool prepare_advance(OpContext& ctx) {
     const bool converted =
         want_dense ? frontier.input_to_dense() : frontier.input_to_sparse();
     if (converted)
-      ctx.device->add_kernel_cost(0, items, 1, 1.0, "frontier_convert");
+      ctx.device->add_kernel_cost(0, items, 1, "frontier_convert");
   }
   frontier.note_advance_mode(frontier.input_dense());
   return frontier.input_dense();
@@ -298,10 +304,10 @@ SizeT two_phase(OpContext& ctx, std::size_t units, std::size_t grain,
 /// launch set (so clearing costs O(output)), commit, charge the kernel.
 inline SizeT finish_sparse(OpContext& ctx, const VertexT* out,
                            SizeT produced, SizeT work, std::size_t items,
-                           double imbalance, const char* kernel) {
+                           const char* kernel) {
   for (SizeT i = 0; i < produced; ++i) ctx.dedup->clear_bit(out[i]);
   ctx.frontier->commit_output(produced);
-  ctx.device->add_kernel_cost(work, items, 1, imbalance, kernel);
+  ctx.device->add_kernel_cost(work, items, 1, kernel);
   return produced;
 }
 
@@ -340,8 +346,7 @@ SizeT advance_dense(OpContext& ctx, const TestOp& test, EdgeOp& op) {
         }
       });
   frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(work, frontier.input_size(), 1,
-                              advance_imbalance_dense(ctx), "advance_dense");
+  ctx.device->add_kernel_cost(work, frontier.input_size(), 1, "advance_dense");
   return produced;
 }
 
@@ -364,12 +369,11 @@ SizeT advance_sparse(OpContext& ctx, const TestOp& test, EdgeOp& op) {
   const auto input = ctx.frontier->input();
   SizeT bound = g.num_vertices;
   if (!ctx.fused()) {
-    degree_scan_into(g, input, ctx.lb_scan, ctx.pool);
-    const SizeT n_raw = ctx.lb_scan.back();
+    degree_scan_into(g, input, ctx.degree_scan, ctx.pool);
+    const SizeT n_raw = ctx.degree_scan.back();
     ctx.advance_temp->ensure_size(n_raw);
     ctx.advance_temp_edges->ensure_size(n_raw);
-    ctx.device->add_kernel_cost(n_raw, input.size(), 1,
-                                advance_imbalance(ctx, input), "advance");
+    ctx.device->add_kernel_cost(n_raw, input.size(), 1, "advance");
     bound = std::min(n_raw, bound);
   }
   VertexT* out = ctx.frontier->request_output(bound);
@@ -388,10 +392,10 @@ SizeT advance_sparse(OpContext& ctx, const TestOp& test, EdgeOp& op) {
       });
   if (ctx.fused()) {
     return finish_sparse(ctx, out, produced, work, input.size(),
-                         advance_imbalance(ctx, input), "advance_filter");
+                         "advance_filter");
   }
   // The walk's edge work is the split's candidate count.
-  return finish_sparse(ctx, out, produced, 0, work, 1.0, "filter_compact");
+  return finish_sparse(ctx, out, produced, 0, work, "filter_compact");
 }
 
 /// The kernel pick behind both advance_filter forms; `test` is nullptr
@@ -520,8 +524,7 @@ SizeT advance_pull(OpContext& ctx, std::span<const VertexT> candidates,
     }
   }
   frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(scanned, candidates.size(), 1, 1.0,
-                              "advance_pull");
+  ctx.device->add_kernel_cost(scanned, candidates.size(), 1, "advance_pull");
   return produced;
 }
 
@@ -537,7 +540,7 @@ SizeT filter(OpContext& ctx, Pred&& pred) {
     if (pred(v)) out[produced++] = v;
   }
   frontier.commit_output(produced);
-  ctx.device->add_kernel_cost(0, input.size(), 1, 1.0, "filter");
+  ctx.device->add_kernel_cost(0, input.size(), 1, "filter");
   return produced;
 }
 
@@ -547,7 +550,7 @@ template <typename VertexOp>
 void compute(OpContext& ctx, std::span<const VertexT> vertices,
              VertexOp&& op) {
   for (const VertexT v : vertices) op(v);
-  ctx.device->add_kernel_cost(0, vertices.size(), 1, 1.0, "compute");
+  ctx.device->add_kernel_cost(0, vertices.size(), 1, "compute");
 }
 
 }  // namespace mgg::core

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/comm.hpp"
-#include "core/load_balance.hpp"
 #include "graph/csr.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "partition/partitioner.hpp"
@@ -41,7 +40,6 @@ struct Config {
   /// modeled time change.
   SyncMode sync_mode = SyncMode::kBspBarrier;
   vgpu::AllocationScheme scheme = vgpu::AllocationScheme::kPreallocFusion;
-  LoadBalance load_balance = LoadBalance::kEdgeBalanced;
   std::uint64_t seed = 1;
   std::uint64_t max_iterations = 1u << 20;
   bool mark_predecessors = false;
@@ -72,7 +70,7 @@ struct Config {
   bool two_level_combine = false;
   /// Host worker threads backing the shared util::ThreadPool that the
   /// kernel-execution hot paths (advance pipelines, gather packaging,
-  /// wire encode/decode, route pass, load-balance scan) run on.
+  /// wire encode/decode, route pass, split degree scan) run on.
   /// 0 = auto (hardware concurrency, capped at 8). Results, frontiers,
   /// W, H, and modeled times are bit-identical at every width — the
   /// pool only changes wall-clock time (docs/architecture.md §12).

@@ -84,7 +84,7 @@ void BcEnactor::core_forward(Slice& s) {
   auto& lvl = d.levels[level];
   lvl.assign(input.begin(), input.end());
   for (const VertexT v : lvl) d.sigma[v] = d.sigma_acc[v];
-  s.device->add_kernel_cost(0, input.size(), 1, 1.0, "bc_level");
+  s.device->add_kernel_cost(0, input.size(), 1, "bc_level");
 
   // (test, op) form: the test covers both live cases (undiscovered, or
   // discovered *by this advance* at next_level — the latter is always
@@ -175,7 +175,7 @@ void BcEnactor::core_backward(Slice& s) {
         edge_work += ch.work;
       }
     }
-    s.device->add_kernel_cost(edge_work, level.size(), 1, 1.0, "bc_backward");
+    s.device->add_kernel_cost(edge_work, level.size(), 1, "bc_backward");
   }
   s.frontier.request_output(0);
   s.frontier.commit_output(0);
@@ -254,7 +254,7 @@ void BcEnactor::communicate_forward(Slice& s) {
     }
   }
 
-  s.device->add_kernel_cost(0, out_items, 1, 1.0, "bc_package");
+  s.device->add_kernel_cost(0, out_items, 1, "bc_package");
   frontier.swap();
 }
 
@@ -284,7 +284,7 @@ void BcEnactor::communicate_backward(Slice& s) {
     encode_for_wire(s, msg);
     bus().push(s.gpu, peer, std::move(msg));
   }
-  s.device->add_kernel_cost(0, d.border.size(), 1, 1.0, "bc_package");
+  s.device->add_kernel_cost(0, d.border.size(), 1, "bc_package");
   s.frontier.swap();
 }
 

@@ -61,7 +61,7 @@ void CcEnactor::iteration_core(Slice& s) {
       }
     }
   }
-  s.device->add_kernel_cost(g.num_edges, 0, 1, 1.0, "cc_hook");
+  s.device->add_kernel_cost(g.num_edges, 0, 1, "cc_hook");
 
   // Pointer jumping: full path compression. comp IDs are global vertex
   // IDs, valid indices everywhere thanks to duplicate-all.
@@ -77,8 +77,7 @@ void CcEnactor::iteration_core(Slice& s) {
       d.changed[v] = 1;
     }
   }
-  s.device->add_kernel_cost(0, sub.num_total() + jump_work, 1, 1.0,
-                            "cc_jump");
+  s.device->add_kernel_cost(0, sub.num_total() + jump_work, 1, "cc_jump");
 
   // The output frontier is the changed-vertex set (broadcast payload).
   SizeT changed_count = 0;
@@ -91,7 +90,7 @@ void CcEnactor::iteration_core(Slice& s) {
     if (d.changed[v]) out[k++] = v;
   }
   s.frontier.commit_output(changed_count);
-  s.device->add_kernel_cost(0, sub.num_total(), 1, 1.0, "cc_changed");
+  s.device->add_kernel_cost(0, sub.num_total(), 1, "cc_changed");
 }
 
 void CcEnactor::fill_vertex_associates(Slice& s, int /*slot*/,

@@ -136,7 +136,7 @@ void DobfsEnactor::core_backward(Slice& s) {
       }
     }
     d.num_unvisited = count;
-    s.device->add_kernel_cost(0, sub.num_total(), 1, 1.0, "dobfs_rebuild");
+    s.device->add_kernel_cost(0, sub.num_total(), 1, "dobfs_rebuild");
   }
 
   const std::span<const VertexT> candidates{
@@ -168,7 +168,7 @@ void DobfsEnactor::core_backward(Slice& s) {
     const VertexT v = d.unvisited[i];
     if (d.labels[v] == kInvalidVertex) d.unvisited[keep++] = v;
   }
-  s.device->add_kernel_cost(0, d.num_unvisited, 1, 1.0, "dobfs_compact");
+  s.device->add_kernel_cost(0, d.num_unvisited, 1, "dobfs_compact");
   d.num_unvisited = keep;
 }
 

@@ -91,7 +91,7 @@ void LpEnactor::iteration_core(Slice& s) {
     out[k++] = v;  // the changed set is the broadcast payload
   }
   s.frontier.commit_output(k);
-  s.device->add_kernel_cost(edge_work, d.hosted.size(), 2, 1.0, "lp_gather");
+  s.device->add_kernel_cost(edge_work, d.hosted.size(), 2, "lp_gather");
 }
 
 void LpEnactor::fill_vertex_associates(Slice& s, int /*slot*/,

@@ -154,7 +154,7 @@ void MsBfsEnactor::begin_iteration(std::uint64_t /*iteration*/) {
     std::swap(m.update_cur, m.update_next);
     m.update_next.fill(0);
     ms_problem_.device(gpu).add_kernel_cost(
-        0, ms_problem_.sub(gpu).num_total(), 1, 1.0, "ms_update_clear");
+        0, ms_problem_.sub(gpu).num_total(), 1, "ms_update_clear");
   }
 }
 
@@ -293,7 +293,7 @@ void MsSsspEnactor::begin_iteration(std::uint64_t /*iteration*/) {
     std::swap(m.update_cur, m.update_next);
     m.update_next.fill(0);
     ms_problem_.device(gpu).add_kernel_cost(
-        0, ms_problem_.sub(gpu).num_total(), 1, 1.0, "ms_update_clear");
+        0, ms_problem_.sub(gpu).num_total(), 1, "ms_update_clear");
   }
 }
 

@@ -63,7 +63,7 @@ void PagerankEnactor::iteration_core(Slice& s) {
       d.acc[v] = 0;
     }
     max_rel_delta_[s.gpu] = max_rel;
-    s.device->add_kernel_cost(0, d.hosted.size(), 1, 1.0, "pr_update");
+    s.device->add_kernel_cost(0, d.hosted.size(), 1, "pr_update");
   }
 
   // Advance kernel: every hosted vertex divides its rank among its
@@ -108,7 +108,7 @@ void PagerankEnactor::communicate(Slice& s) {
       // This peer's chunk of the packaging kernel: its transfer may
       // start as soon as the chunk is done (see EnactorBase's
       // split_frontier_and_push for the pattern).
-      s.device->add_kernel_cost(0, sources.size(), 0, 1.0, "pr_package");
+      s.device->add_kernel_cost(0, sources.size(), 0, "pr_package");
       chunk_vertices += sources.size();
     }
     core::Message msg = bus().acquire();
@@ -127,7 +127,7 @@ void PagerankEnactor::communicate(Slice& s) {
   // Remainder of the packaging charge (BSP: the whole thing, since no
   // chunks were carved out above). Vertex/launch totals match across
   // modes by construction.
-  s.device->add_kernel_cost(0, d.border.size() - chunk_vertices, 1, 1.0,
+  s.device->add_kernel_cost(0, d.border.size() - chunk_vertices, 1,
                             "pr_package");
   s.frontier.swap();
 }

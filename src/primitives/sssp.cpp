@@ -72,7 +72,7 @@ void SsspEnactor::iteration_core(Slice& s) {
     // The split needs queue semantics; a dense frontier converts back
     // first (the conversion is a counted pass over the frontier).
     if (s.frontier.input_to_sparse()) {
-      s.device->add_kernel_cost(0, s.frontier.input_size(), 1, 1.0,
+      s.device->add_kernel_cost(0, s.frontier.input_size(), 1,
                                 "frontier_convert");
     }
     // Near-far split: keep only vertices below the current threshold
@@ -91,7 +91,7 @@ void SsspEnactor::iteration_core(Slice& s) {
     }
     if (near.size() != input.size()) {
       s.frontier.set_input(near);
-      s.device->add_kernel_cost(0, input.size(), 1, 1.0,
+      s.device->add_kernel_cost(0, input.size(), 1,
                                 "nearfar_split");  // the split kernel
     }
   }

@@ -138,14 +138,13 @@ struct QueryService::Lane {
   std::unique_ptr<prim::MsSsspEnactor> sssp_enactor;
   std::unique_ptr<vgpu::FaultInjector> injector;
 
-  Lane(int idx, const std::string& preset, int num_gpus)
-      : index(idx), machine(vgpu::Machine::create(preset, num_gpus)) {}
+  Lane(int idx, int num_gpus)
+      : index(idx), machine(vgpu::Machine::create("k40", num_gpus)) {}
 };
 
 std::unique_ptr<QueryService::Lane> QueryService::build_lane(
     int index) const {
-  auto l = std::make_unique<Lane>(index, options_.machine_preset,
-                                  options_.config.num_gpus);
+  auto l = std::make_unique<Lane>(index, options_.config.num_gpus);
   if (index == 0 && options_.tracer != nullptr) {
     l->machine.set_tracer(options_.tracer);
   }
@@ -188,7 +187,6 @@ QueryService::QueryService(const graph::Graph& g,
               "max_batch_retries must be >= 0");
   MGG_REQUIRE(options_.max_lane_restarts >= 0,
               "max_lane_restarts must be >= 0");
-  MGG_REQUIRE(options_.retry_backoff_s >= 0, "retry backoff must be >= 0");
   pg_ = core::ProblemBase::partition(g, options_.config);
   weighted_ = g.has_values();
   for (int lane = 0; lane < options_.num_lanes; ++lane) {
@@ -295,9 +293,8 @@ std::vector<QueryResult> QueryService::execute(
   }
 
   Supervisor supervisor(static_cast<int>(lanes_.size()),
-                        options_.max_lane_restarts);
-  const RetryPolicy policy{options_.max_batch_retries + 1,
-                           options_.retry_backoff_s};
+                        options_.max_lane_restarts,
+                        options_.max_batch_retries + 1);
 
   util::WallTimer run_timer;
   std::deque<Batch> batches;  // stable references under push_back
@@ -345,20 +342,19 @@ std::vector<QueryResult> QueryService::execute(
     r.attempts = 0;
     complete_one();
   };
-  const auto enqueue_batch = [&](Batch&& b, int attempt, double not_before) {
+  const auto enqueue_batch = [&](Batch&& b, int attempt) {
     std::size_t index;
     {
       std::lock_guard<std::mutex> lock(batch_mutex);
       index = batches.size();
       batches.push_back(std::move(b));
     }
-    queue.push({index, attempt, not_before});
+    queue.push({index, attempt});
   };
   // Re-pack a failed batch's unresolved members into a fresh batch
   // (fresh slot assignment — answers are per-slot deterministic, so
   // re-packing cannot change them) and requeue it.
-  const auto requeue_unresolved = [&](const Batch& failed, int next_attempt,
-                                      double not_before) {
+  const auto requeue_unresolved = [&](const Batch& failed, int next_attempt) {
     Batch nb;
     nb.sssp = failed.sssp;
     nb.id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
@@ -368,7 +364,7 @@ std::vector<QueryResult> QueryService::execute(
       }
     }
     if (nb.members.empty()) return;
-    enqueue_batch(std::move(nb), next_attempt, not_before);
+    enqueue_batch(std::move(nb), next_attempt);
   };
 
   // Enact + extract. Only unresolved members are answered; extra slots
@@ -424,7 +420,7 @@ std::vector<QueryResult> QueryService::execute(
 
   const auto lane_loop = [&](const int lane_idx) {
     while (true) {
-      std::optional<BatchTicket> ticket = queue.pop(run_timer);
+      std::optional<BatchTicket> ticket = queue.pop();
       if (!ticket.has_value()) break;
       Batch* batch = nullptr;
       {
@@ -483,10 +479,9 @@ std::vector<QueryResult> QueryService::execute(
                      << " attempt " << ticket->attempt + 1 << " failed: "
                      << e.what();
         const Supervisor::Decision d =
-            supervisor.on_failure(lane_idx, st, ticket->attempt, policy);
+            supervisor.on_failure(lane_idx, st, ticket->attempt);
         if (d.retry_batch) {
-          requeue_unresolved(*batch, ticket->attempt + 1,
-                             run_timer.seconds() + d.backoff_s);
+          requeue_unresolved(*batch, ticket->attempt + 1);
         } else {
           for (const Batch::Member& m : batch->members) {
             fail_query(m.query_index, d.query_status, ticket->attempt + 1,
@@ -538,14 +533,14 @@ std::vector<QueryResult> QueryService::execute(
   if (!open_loop) {
     std::vector<Batch> packed = pack(queries);
     next_batch_id.store(packed.size() + 1, std::memory_order_relaxed);
-    for (Batch& b : packed) enqueue_batch(std::move(b), 0, 0.0);
+    for (Batch& b : packed) enqueue_batch(std::move(b), 0);
   } else {
     dispatcher = std::thread([&] {
       Batch open[2];
       bool active[2] = {false, false};
       const auto flush = [&](int cls) {
         if (!active[cls]) return;
-        enqueue_batch(std::move(open[cls]), 0, 0.0);
+        enqueue_batch(std::move(open[cls]), 0);
         open[cls] = Batch{};
         active[cls] = false;
       };

@@ -18,23 +18,22 @@
 // reduction vs individual runs).
 //
 // Lanes are independent vGPU machines with their own Problem/Enactor
-// pairs; a ready-time work queue (serve/supervisor.hpp) feeds them
-// batches, so service throughput scales with lanes while every lane's
-// host-side kernels ride the one shared worker pool (§12). Lane 0
-// optionally carries a Tracer whose spans are tagged with the batch id
+// pairs; a work queue (serve/supervisor.hpp) feeds them batches, so
+// service throughput scales with lanes while every lane's host-side
+// kernels ride the one shared worker pool (§12). Lane 0 optionally
+// carries a Tracer whose spans are tagged with the batch id
 // (Tracer::set_batch) for per-query filtering in Perfetto.
 //
 // Resilience (§15): run() never throws for a fault-induced failure.
 // A failed enactment is classified by the Supervisor — deadline aborts
 // retry on a healthy lane, lane-fatal faults (device loss, retry
 // exhaustion, OOM collapse) restart the lane over the shared partition
-// and requeue its unresolved queries as a fresh batch with a bounded
-// retry budget and exponential backoff. Queries resolve with a
-// per-query Status (kOk answers are bit-identical to a fault-free
-// individual run); the accounting invariant answered + shed + failed
-// == submitted always holds, and bench/serve_chaos gates it under
-// injected chaos. In a fault-free run none of this machinery charges
-// any modeled cost.
+// and requeue its unresolved queries at once as a fresh batch, within a
+// bounded retry budget. Queries resolve with a per-query Status (kOk
+// answers are bit-identical to a fault-free individual run); the
+// accounting invariant answered + shed + failed == submitted always
+// holds, and bench/serve_chaos gates it under injected chaos. In a
+// fault-free run none of this machinery charges any modeled cost.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +56,7 @@ namespace mgg::serve {
 struct ServeOptions {
   core::Config config;                  ///< per-lane enactment config
   int batch_width = 64;                 ///< max distinct sources/batch
-  int num_lanes = 1;                    ///< concurrent vGPU machines
-  std::string machine_preset = "k40";   ///< vgpu::Machine::create preset
+  int num_lanes = 1;                    ///< concurrent "k40" machines
   /// Installed on lane 0's machine; batched spans are tagged with the
   /// batch id. Null = no tracing.
   vgpu::Tracer* tracer = nullptr;
@@ -67,9 +65,6 @@ struct ServeOptions {
   /// Extra enactment attempts a batch may spend after its first fails
   /// (so a batch is enacted at most max_batch_retries + 1 times).
   int max_batch_retries = 2;
-  /// Base of the exponential wall backoff between attempts (0 = retry
-  /// immediately; attempt k waits base * 2^(k-1)).
-  double retry_backoff_s = 0;
   /// Fresh-Machine rebuilds each lane may spend on lane-fatal faults
   /// before it is quarantined for the rest of the run.
   int max_lane_restarts = 2;

@@ -1,18 +1,10 @@
 #include "serve/supervisor.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 
 #include "util/error.hpp"
 
 namespace mgg::serve {
-
-double RetryPolicy::backoff_before(int attempt) const {
-  if (attempt <= 0 || backoff_base_s <= 0) return 0;
-  const int exponent = std::min(attempt - 1, 52);
-  return backoff_base_s * std::ldexp(1.0, exponent);
-}
 
 const char* to_string(LaneState state) {
   switch (state) {
@@ -31,32 +23,18 @@ void BatchQueue::push(BatchTicket ticket) {
   cv_.notify_all();
 }
 
-std::optional<BatchTicket> BatchQueue::pop(const util::WallTimer& clock) {
+std::optional<BatchTicket> BatchQueue::pop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (tickets_.empty()) {
-      if (closed_) return std::nullopt;
-      cv_.wait(lock);
-      continue;
-    }
-    const auto best = std::min_element(
-        tickets_.begin(), tickets_.end(),
-        [](const BatchTicket& a, const BatchTicket& b) {
-          if (a.not_before_s != b.not_before_s)
-            return a.not_before_s < b.not_before_s;
-          return a.batch_index < b.batch_index;
-        });
-    const double now = clock.seconds();
-    if (best->not_before_s <= now) {
-      BatchTicket ticket = *best;
-      tickets_.erase(best);
-      return ticket;
-    }
-    // Nothing ripe yet: bounded wait until the earliest ready time (or
-    // a push/close wakes us sooner).
-    const auto wait_s = best->not_before_s - now;
-    cv_.wait_for(lock, std::chrono::duration<double>(wait_s));
-  }
+  cv_.wait(lock, [&] { return !tickets_.empty() || closed_; });
+  if (tickets_.empty()) return std::nullopt;
+  const auto best = std::min_element(
+      tickets_.begin(), tickets_.end(),
+      [](const BatchTicket& a, const BatchTicket& b) {
+        return a.batch_index < b.batch_index;
+      });
+  const BatchTicket ticket = *best;
+  tickets_.erase(best);
+  return ticket;
 }
 
 std::vector<BatchTicket> BatchQueue::drain() {
@@ -74,18 +52,15 @@ void BatchQueue::close() {
   cv_.notify_all();
 }
 
-bool BatchQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 std::size_t BatchQueue::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tickets_.size();
 }
 
-Supervisor::Supervisor(int num_lanes, int max_lane_restarts)
+Supervisor::Supervisor(int num_lanes, int max_lane_restarts,
+                       int max_attempts)
     : max_lane_restarts_(max_lane_restarts),
+      max_attempts_(max_attempts),
       states_(static_cast<std::size_t>(num_lanes), LaneState::kHealthy),
       stats_(static_cast<std::size_t>(num_lanes)) {
   MGG_REQUIRE(num_lanes > 0, "Supervisor needs at least one lane");
@@ -94,8 +69,7 @@ Supervisor::Supervisor(int num_lanes, int max_lane_restarts)
 }
 
 Supervisor::Decision Supervisor::on_failure(int lane, Status status,
-                                            int attempt,
-                                            const RetryPolicy& policy) {
+                                            int attempt) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto li = static_cast<std::size_t>(lane);
   Decision d;
@@ -124,9 +98,8 @@ Supervisor::Decision Supervisor::on_failure(int lane, Status status,
   for (const LaneState s : states_)
     if (s != LaneState::kQuarantined) ++live;
 
-  if (attempt + 1 < policy.max_attempts && live > 0) {
+  if (attempt + 1 < max_attempts_ && live > 0) {
     d.retry_batch = true;
-    d.backoff_s = policy.backoff_before(attempt + 1);
     stats_[li].requeues++;
   }
   return d;

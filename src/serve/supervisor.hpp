@@ -1,20 +1,19 @@
 // Serve-layer resilience: lane supervision, retry budgets, and the
-// ready-time batch queue (docs/architecture.md §15).
+// batch queue (docs/architecture.md §15).
 //
 // The QueryService's lanes enact batches over injectable-fault vGPU
 // machines; this module supplies the policy layer that turns an
 // enactment failure into a *degraded* service instead of a dead one:
 //
-//   - RetryPolicy: bounded attempts per batch with exponential wall
-//     backoff between them;
 //   - Supervisor: the per-lane state machine (healthy -> restarting ->
 //     healthy ... -> quarantined) plus the failure classifier that
 //     decides, from an enactment's error status, whether the batch
-//     retries and whether the lane restarts with a fresh Machine or is
-//     quarantined for the rest of the run;
-//   - BatchQueue: the MPMC work queue the lanes pull from, ordered by
-//     ready time so a backed-off retry never starves fresh work, with
-//     a close() that releases every blocked lane.
+//     retries (immediately, within a bounded attempt budget) and
+//     whether the lane restarts with a fresh Machine or is quarantined
+//     for the rest of the run;
+//   - BatchQueue: the MPMC work queue the lanes pull from, lowest
+//     batch index first, with a close() that releases every blocked
+//     lane.
 //
 // Everything here is policy and bookkeeping — no modeled cost is ever
 // charged, so a fault-free run's ServeStats are bit-identical with or
@@ -28,22 +27,8 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace mgg::serve {
-
-/// Bounded-attempt retry budget with exponential backoff. `attempt` is
-/// 0-based: attempt 0 is the first enactment, so a batch is enacted at
-/// most `max_attempts` times in total.
-struct RetryPolicy {
-  int max_attempts = 3;
-  double backoff_base_s = 0.0;  ///< 0 = retry immediately
-
-  /// Wall seconds to wait before (0-based) attempt `attempt`:
-  /// base * 2^(attempt-1), 0 for the first attempt. The exponent is
-  /// clamped so a large budget cannot overflow the double.
-  double backoff_before(int attempt) const;
-};
 
 /// Lane lifecycle (docs/architecture.md §15). kHealthy lanes pull
 /// batches; a lane-fatal failure moves the lane through kRestarting
@@ -72,31 +57,27 @@ struct LaneStats {
 /// owns batch payloads.
 struct BatchTicket {
   std::size_t batch_index = 0;
-  int attempt = 0;          ///< 0-based enactment attempt this dispatch is
-  double not_before_s = 0;  ///< earliest dispatch time on the run clock
+  int attempt = 0;  ///< 0-based enactment attempt this dispatch is
 };
 
-/// MPMC ready-time work queue feeding the lanes. pop() hands out the
-/// ticket with the smallest (not_before_s, batch_index) that is ready
-/// on the caller's clock, blocking (bounded waits) until one ripens or
-/// the queue closes. close() wakes and drains every waiter; a closed
-/// queue's pop() returns nullopt once no tickets remain.
+/// MPMC work queue feeding the lanes. pop() blocks until a ticket is
+/// queued or the queue closes, then hands out the ticket with the
+/// smallest batch_index. close() wakes and drains every waiter; a
+/// closed queue's pop() returns nullopt once no tickets remain.
 class BatchQueue {
  public:
   void push(BatchTicket ticket);
 
-  /// Next ready ticket ordered by (not_before_s, batch_index), or
-  /// nullopt once the queue is closed and empty. `clock` is the run
-  /// clock `not_before_s` values are relative to.
-  std::optional<BatchTicket> pop(const util::WallTimer& clock);
+  /// The queued ticket with the smallest batch_index, or nullopt once
+  /// the queue is closed and empty.
+  std::optional<BatchTicket> pop();
 
-  /// Snapshot-and-clear every queued ticket (ready or not) — the
-  /// all-lanes-quarantined drain, where the caller fails the tickets'
-  /// unresolved queries instead of running them.
+  /// Snapshot-and-clear every queued ticket — the all-lanes-quarantined
+  /// drain, where the caller fails the tickets' unresolved queries
+  /// instead of running them.
   std::vector<BatchTicket> drain();
 
   void close();
-  bool closed() const;
   std::size_t size() const;
 
  private:
@@ -113,12 +94,13 @@ class Supervisor {
  public:
   /// `max_lane_restarts`: fresh-Machine rebuilds each lane may spend
   /// before a further lane-fatal failure quarantines it.
-  Supervisor(int num_lanes, int max_lane_restarts);
+  /// `max_attempts`: enactments a batch may spend in total (attempts
+  /// are 0-based, so attempt max_attempts - 1 is the last).
+  Supervisor(int num_lanes, int max_lane_restarts, int max_attempts);
 
   /// What to do about one failed enactment attempt.
   struct Decision {
     bool retry_batch = false;      ///< requeue with attempt + 1
-    double backoff_s = 0;          ///< wall delay before the retry
     bool restart_lane = false;     ///< rebuild this lane's Machine
     bool quarantine_lane = false;  ///< restart budget spent
     /// Terminal status for the batch's unresolved queries when
@@ -134,8 +116,7 @@ class Supervisor {
   /// attempt budget lasts AND at least one lane will be alive to run
   /// it. Updates the lane's state and counters atomically with the
   /// decision.
-  Decision on_failure(int lane, Status status, int attempt,
-                      const RetryPolicy& policy);
+  Decision on_failure(int lane, Status status, int attempt);
 
   /// The lane finished rebuilding and is pulling work again.
   void on_restarted(int lane);
@@ -159,6 +140,7 @@ class Supervisor {
  private:
   mutable std::mutex mutex_;
   int max_lane_restarts_;
+  int max_attempts_;
   std::vector<LaneState> states_;
   std::vector<LaneStats> stats_;
 };

@@ -22,11 +22,6 @@ ThreadPool::~ThreadPool() {
   stop_helpers_locked();
 }
 
-int ThreadPool::workers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return width_;
-}
-
 void ThreadPool::stop_helpers_locked() {
   // Caller holds mutex_. Helpers park on cv_wake_ between jobs, so a
   // stop flag plus notify wakes them all; unlock to let them exit.

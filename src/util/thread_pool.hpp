@@ -63,7 +63,6 @@ class ThreadPool {
   /// current helpers first; safe to call repeatedly, cheap when the
   /// width is unchanged.
   void set_workers(int n);
-  int workers() const;
 
   /// Deterministic chunk plan: ceil(total/grain) chunks, clamped to
   /// [1, kMaxChunks]. Pure function of the work size — the same plan

@@ -40,16 +40,13 @@ class Device {
   const MemoryManager& memory() const noexcept { return memory_; }
 
   /// Record the cost of one kernel: `edges` advance work items,
-  /// `vertices` filter/compute items, `launches` kernel launches.
-  /// `imbalance` >= 1 is the max/mean worker-load ratio from the
-  /// advance load-balancing policy (core/load_balance.hpp): a skewed
-  /// mapping's kernel finishes when its most loaded worker does, so
-  /// modeled edge time stretches by that factor while the raw work
-  /// counters stay truthful. Thread safe.
+  /// `vertices` filter/compute items, `launches` kernel launches. The
+  /// edge work is priced as Gunrock's edge-balanced advance, so no
+  /// worker outlasts work/workers. Thread safe.
   /// `trace_name`/`trace_cat` label the span when a Tracer is attached
   /// (static-lifetime string; no effect on the accounting).
   void add_kernel_cost(std::uint64_t edges, std::uint64_t vertices,
-                       std::uint64_t launches = 1, double imbalance = 1.0,
+                       std::uint64_t launches = 1,
                        const char* trace_name = nullptr,
                        TraceCategory trace_cat = TraceCategory::kKernel) {
     // The scale knobs are retuned from control threads (Table V /
@@ -74,8 +71,7 @@ class Device {
     // Effective (full-size-modeled) edge work, plus the occupancy-ramp
     // term — see GpuModel::ramp_items.
     const double we = static_cast<double>(edges) * workload_scale *
-                      id_scale_.load(std::memory_order_relaxed) *
-                      std::max(imbalance, 1.0);
+                      id_scale_.load(std::memory_order_relaxed);
     const double ramp = we > 0 ? std::sqrt(we * model_.ramp_items) : 0.0;
     const double seconds =
         ((we + ramp) / model_.edge_rate +

@@ -319,21 +319,6 @@ std::uint64_t FaultInjector::alloc_events(int device) const {
       std::memory_order_relaxed);
 }
 
-std::uint64_t FaultInjector::kernel_events(int device) const {
-  return kernel_sites_[static_cast<std::size_t>(device)].count.load(
-      std::memory_order_relaxed);
-}
-
-std::uint64_t FaultInjector::transfer_events(int src, int dst) const {
-  return transfer_sites_[link_index(src, dst)].count.load(
-      std::memory_order_relaxed);
-}
-
-std::uint64_t FaultInjector::handshake_events(int src, int dst) const {
-  return handshake_sites_[link_index(src, dst)].count.load(
-      std::memory_order_relaxed);
-}
-
 void FaultInjector::reset_counters() {
   const std::size_t n = static_cast<std::size_t>(n_);
   for (std::size_t i = 0; i < n; ++i) {

@@ -152,12 +152,9 @@ class FaultInjector {
   /// their sites restart from event 0, deterministically.
   void acknowledge_device_loss();
 
-  /// Per-site event counts observed so far — lets tests discover
-  /// event indices from a counting (empty-plan) run.
+  /// Allocation events observed so far on `device` — lets a caller
+  /// discover event indices from a counting (empty-plan) run.
   std::uint64_t alloc_events(int device) const;
-  std::uint64_t kernel_events(int device) const;
-  std::uint64_t transfer_events(int src, int dst) const;
-  std::uint64_t handshake_events(int src, int dst) const;
 
   /// Reset every site counter to 0 (fresh run against the same plan).
   void reset_counters();

@@ -41,8 +41,13 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would inline them into gtest's deleting destructors
+// and then warn (-Wmismatched-new-delete) that memory from operator new
+// reaches std::free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }

@@ -10,7 +10,6 @@
 //
 //   knob reset to default     must stay bit-identical
 //   host_threads -> 1         results and every RunStats field
-//   load_balance -> edge-bal. results and every counter
 //   sync_mode -> BSP          results, W/H counters, link bytes; BSP
 //                             hides no comm and, at >= 2 GPUs, charges
 //                             more overhead than the pipeline
@@ -23,8 +22,8 @@
 //   two_level_combine -> off  results, iterations, edges, comm and
 //                             combine items; the flat run never merges;
 //                             the two-level run merges once the flat run
-//                             crosses nodes and, under raw or auto,
-//                             ships no more inter-node bytes
+//                             crosses nodes and ships no more
+//                             inter-node bytes
 //   dense_threshold -> 0      labels, depths, components, distances and
 //                             ranks (dense advances discover in ascending
 //                             order, so BFS predecessors and SSSP

@@ -62,8 +62,7 @@ std::string describe(const Draw& d) {
      << " two_level=" << c.two_level_combine
      << " host_threads=" << c.host_threads
      << " scheme=" << vgpu::to_string(c.scheme)
-     << " dense=" << c.dense_threshold
-     << " load_balance=" << core::to_string(c.load_balance) << " sources={";
+     << " dense=" << c.dense_threshold << " sources={";
   for (const VertexT s : d.sources) os << s << ",";
   os << "}";
   return os.str();
@@ -260,7 +259,7 @@ void expect_same_results(const Outcome& a, const Outcome& b,
 // Every RunStats counter, ordered so that each knob keeps a prefix:
 // the wire format and the two-level combine keep the item counters,
 // the scheme also the bytes, the schedule also W and the link split,
-// host threads and load balance all of them.
+// host threads all of them.
 constexpr std::pair<const char*, std::uint64_t RunStats::*> kCounters[] = {
     {"iterations", &RunStats::iterations},
     {"total_edges", &RunStats::total_edges},
@@ -312,14 +311,6 @@ const Knob kKnobs[] = {
        EXPECT_EQ(s.modeled_overhead_s, r.modeled_overhead_s);
        EXPECT_EQ(s.modeled_overlap_hidden_s, r.modeled_overlap_hidden_s);
      }},
-    {"load_balance -> edge-balanced",
-     [](const core::Config& c) {
-       return c.load_balance != core::LoadBalance::kEdgeBalanced;
-     },
-     [](core::Config& c) {
-       c.load_balance = core::LoadBalance::kEdgeBalanced;
-     },
-     kAllCounters, false, nullptr},
     {"sync_mode -> bsp",
      [](const core::Config& c) {
        return c.sync_mode != core::SyncMode::kBspBarrier;
@@ -361,19 +352,16 @@ const Knob kKnobs[] = {
      [](const core::Config& c) { return c.two_level_combine; },
      [](core::Config& c) { c.two_level_combine = false; }, kItemCounters,
      false,
-     [](const Draw& d, const RunStats& s, const RunStats& flat) {
+     [](const Draw&, const RunStats& s, const RunStats& flat) {
        EXPECT_EQ(flat.gateway_merges, 0u);
        EXPECT_EQ(flat.gateway_dedup_items, 0u);
        if (flat.inter_node_bytes > 0) {
          EXPECT_GT(s.gateway_merges, 0u);
        }
-       // A merged payload is ascending, so a forced bitmap may take the
-       // encoding its per-sender parts fell back from: only raw and
-       // auto bound the merged hop by the flat pushes.
-       const core::WireFormat f = d.cfg.wire_format;
-       if (f == core::WireFormat::kRawIds || f == core::WireFormat::kAuto) {
-         EXPECT_LE(s.inter_node_bytes, flat.inter_node_bytes);
-       }
+       // The merged payload drops duplicates and, unless the run is
+       // raw, takes its smallest encoding, so the hop never ships more
+       // than the flat pushes under any format.
+       EXPECT_LE(s.inter_node_bytes, flat.inter_node_bytes);
      }},
     {"dense_threshold -> 0",
      [](const core::Config& c) { return c.dense_threshold != 0; },
@@ -460,8 +448,6 @@ constexpr vgpu::AllocationScheme kSchemes[] = {
     vgpu::AllocationScheme::kJustEnough,
     vgpu::AllocationScheme::kFixedPrealloc, vgpu::AllocationScheme::kMax};
 constexpr double kDenseThresholds[] = {0, 0.05};
-constexpr core::LoadBalance kBalances[] = {
-    core::LoadBalance::kEdgeBalanced, core::LoadBalance::kThreadPerVertex};
 constexpr const char* kFamilies[] = {"rmat", "social", "web", "grid",
                                      "uniform"};
 constexpr const char* kPartitioners[] = {"random", "biasrandom", "metis",
@@ -470,24 +456,24 @@ constexpr int kWidths[] = {1, 7, 64};
 
 // The drawn dimensions, differential knobs first, and their sizes.
 enum Dim {
-  kSync, kWire, kTwoLevel, kThreads, kScheme, kDense, kBalance,
+  kSync, kWire, kTwoLevel, kThreads, kScheme, kDense,
   kShape, kFamily, kPartitioner, kDuplication, kComm, kPreds, kWidth,
   kDims
 };
-constexpr int kDifferential = kBalance + 1;
+constexpr int kDifferential = kDense + 1;
 constexpr const char* kDimNames[kDims] = {
     "sync_mode", "wire_format", "two_level_combine", "host_threads",
-    "scheme", "dense_threshold", "load_balance", "shape", "family",
-    "partitioner", "duplication", "comm", "mark_predecessors", "batch width"};
+    "scheme", "dense_threshold", "shape", "family", "partitioner",
+    "duplication", "comm", "mark_predecessors", "batch width"};
 constexpr int size_of(const auto& values) {
   return static_cast<int>(std::size(values));
 }
 constexpr int kDimSize[kDims] = {
     size_of(kSyncs),        size_of(kWires),    2,
     size_of(kThreadCounts), size_of(kSchemes),  size_of(kDenseThresholds),
-    size_of(kBalances),     size_of(kShapes),   size_of(kFamilies),
-    size_of(kPartitioners), 2,                  2,
-    2,                      size_of(kWidths)};
+    size_of(kShapes),       size_of(kFamilies), size_of(kPartitioners),
+    2,                      2,                  2,
+    size_of(kWidths)};
 
 bool batched(Prim p) { return p == Prim::kMsBfs || p == Prim::kMsSssp; }
 bool weighted(Prim p) { return p == Prim::kSssp || p == Prim::kMsSssp; }
@@ -555,7 +541,6 @@ Draw make_draw(const Sample& s, const graph::Graph& g) {
   c.host_threads = kThreadCounts[s.at[kThreads]];
   c.scheme = kSchemes[s.at[kScheme]];
   c.dense_threshold = kDenseThresholds[s.at[kDense]];
-  c.load_balance = kBalances[s.at[kBalance]];
   c.partitioner = kPartitioners[s.at[kPartitioner]];
   if (s.at[kDuplication] == 1) c.duplication = part::Duplication::kOneHop;
   if (s.at[kComm] == 1) c.comm = core::CommStrategy::kBroadcast;

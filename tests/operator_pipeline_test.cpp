@@ -24,13 +24,12 @@ namespace mgg {
 namespace {
 
 using core::Frontier;
-using core::LoadBalance;
 using vgpu::AllocationScheme;
 
 /// One operator execution site with an adjustable pipeline.
 struct PipelineEnv {
   PipelineEnv(const graph::Graph& graph, AllocationScheme scheme,
-              double dense_threshold, LoadBalance lb)
+              double dense_threshold)
       : machine(vgpu::Machine::create("k40", 1)), g(graph) {
     frontier.init(machine.device(0), scheme, g.num_vertices, g.num_edges);
     dedup.resize(g.num_vertices);
@@ -42,7 +41,7 @@ struct PipelineEnv {
     }
     ctx = core::OpContext{&machine.device(0), &g,          &frontier,
                           &temp,              &temp_edges, &dedup,
-                          scheme,             lb};
+                          scheme};
     ctx.dense_threshold = dense_threshold;
   }
 
@@ -97,26 +96,52 @@ TEST(OperatorPipeline, SingleAdvanceAgreesAcrossPipelinesAndPolicies) {
       if (g.degree(v) > 0) seed.push_back(v);
     }
     ASSERT_FALSE(seed.empty());
-    for (const LoadBalance lb :
-         {LoadBalance::kEdgeBalanced, LoadBalance::kThreadPerVertex}) {
-      PipelineEnv reference(g, kPipelines[0].scheme,
-                            kPipelines[0].dense_threshold, lb);
-      const auto [ref_out, ref_edges] = reference.advance_once(seed);
-      EXPECT_GT(ref_edges, 0u);
-      for (const auto& spec : kPipelines) {
-        PipelineEnv env(g, spec.scheme, spec.dense_threshold, lb);
-        const auto [out, edges] = env.advance_once(seed);
-        EXPECT_EQ(out, ref_out) << spec.name;
-        EXPECT_EQ(edges, ref_edges) << spec.name;
-        if (spec.dense_threshold > 0) {
-          EXPECT_TRUE(env.frontier.last_advance_dense());
-          EXPECT_GE(env.frontier.dense_switches(), 1u);
-        } else {
-          EXPECT_FALSE(env.frontier.last_advance_dense());
-        }
+    PipelineEnv reference(g, kPipelines[0].scheme,
+                          kPipelines[0].dense_threshold);
+    const auto [ref_out, ref_edges] = reference.advance_once(seed);
+    EXPECT_GT(ref_edges, 0u);
+    for (const auto& spec : kPipelines) {
+      PipelineEnv env(g, spec.scheme, spec.dense_threshold);
+      const auto [out, edges] = env.advance_once(seed);
+      EXPECT_EQ(out, ref_out) << spec.name;
+      EXPECT_EQ(edges, ref_edges) << spec.name;
+      if (spec.dense_threshold > 0) {
+        EXPECT_TRUE(env.frontier.last_advance_dense());
+        EXPECT_GE(env.frontier.dense_switches(), 1u);
+      } else {
+        EXPECT_FALSE(env.frontier.last_advance_dense());
       }
     }
   }
+}
+
+// Gunrock's load-balancing scan, which the split pipeline reuses to
+// size its candidate buffers (§VI-B): scan[i] sums the degrees of
+// frontier[0..i), whether it runs as the sequential fold or as the
+// pool's two-pass prefix over fixed chunks.
+TEST(LoadBalance, DegreeScanMatchesDegrees) {
+  const auto g = test::small_rmat(12, 8, 5);
+  // Three and a bit scan chunks: every vertex three or four times
+  // (7919 is coprime to |V| = 4096).
+  std::vector<VertexT> frontier(3 * core::detail::kScanGrain + 17);
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    frontier[i] = static_cast<VertexT>(i * 7919 % g.num_vertices);
+  }
+  std::vector<SizeT> want{0};
+  for (const VertexT v : frontier) want.push_back(want.back() + g.degree(v));
+
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  pool.set_workers(4);
+  for (util::ThreadPool* p :
+       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    util::PodVector<SizeT> scan;
+    core::detail::degree_scan_into(g, frontier, scan, p);
+    EXPECT_TRUE(std::ranges::equal(scan, want))
+        << (p == nullptr ? "sequential" : "4-wide pool");
+    core::detail::degree_scan_into(g, {}, scan, p);
+    EXPECT_TRUE(std::ranges::equal(scan, std::vector<SizeT>{0}));
+  }
+  pool.set_workers(1);
 }
 
 // The split scheme sizes its intermediate candidate buffers (Fig. 3's
@@ -165,8 +190,7 @@ TEST(OperatorPipeline, SplitSizesButNeverWritesItsBuffers) {
 
   util::ThreadPool& pool = util::ThreadPool::shared();
   pool.set_workers(4);
-  PipelineEnv fused(g, AllocationScheme::kPreallocFusion, 0.0,
-                    LoadBalance::kEdgeBalanced);
+  PipelineEnv fused(g, AllocationScheme::kPreallocFusion, 0.0);
   const Advance ref = run(fused, false, nullptr);
   ASSERT_FALSE(ref.out.empty());
   EXPECT_EQ(ref.counters.edges, degree_sum);
@@ -178,7 +202,7 @@ TEST(OperatorPipeline, SplitSizesButNeverWritesItsBuffers) {
        {AllocationScheme::kMax, AllocationScheme::kFixedPrealloc}) {
     // kMax starts at |E|; kFixedPrealloc starts empty here, so its first
     // advance sizes both buffers to the degree sum.
-    PipelineEnv env(g, scheme, 0.0, LoadBalance::kEdgeBalanced);
+    PipelineEnv env(g, scheme, 0.0);
     std::vector<Advance> runs{run(env, false, nullptr)};
     const std::string name = vgpu::to_string(scheme);
     EXPECT_GE(env.temp.capacity(), degree_sum) << name;
@@ -291,8 +315,7 @@ TEST(OperatorPipeline, DenseAdvanceSwitchesBackWhenFrontierShrinks) {
   const auto g = test::small_rmat(8, 8, 7);
   // Threshold of half the graph: a full seed goes dense, a tiny
   // follow-up frontier converts back to a queue.
-  PipelineEnv env(g, AllocationScheme::kPreallocFusion, 0.5,
-                  LoadBalance::kEdgeBalanced);
+  PipelineEnv env(g, AllocationScheme::kPreallocFusion, 0.5);
   std::vector<VertexT> all;
   for (VertexT v = 0; v < g.num_vertices; ++v) all.push_back(v);
   env.frontier.set_input(all);

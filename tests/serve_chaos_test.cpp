@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <span>
@@ -25,7 +24,6 @@
 #include "serve/supervisor.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 #include "vgpu/fault.hpp"
 
 namespace mgg {
@@ -34,68 +32,38 @@ namespace {
 using serve::BatchQueue;
 using serve::BatchTicket;
 using serve::LaneState;
-using serve::RetryPolicy;
 using serve::Supervisor;
 
 // ---------------------------------------------------------------------
 // Supervisor.*: policy and queue primitives in isolation.
 // ---------------------------------------------------------------------
 
-TEST(Supervisor, RetryBackoffIsExponentialFromTheSecondAttempt) {
-  const RetryPolicy policy{4, 0.01};
-  EXPECT_EQ(policy.backoff_before(0), 0.0);  // first attempt: immediate
-  EXPECT_DOUBLE_EQ(policy.backoff_before(1), 0.01);
-  EXPECT_DOUBLE_EQ(policy.backoff_before(2), 0.02);
-  EXPECT_DOUBLE_EQ(policy.backoff_before(3), 0.04);
-  const RetryPolicy immediate{4, 0.0};
-  EXPECT_EQ(immediate.backoff_before(3), 0.0);
-  // A silly attempt index must clamp, not overflow to inf.
-  EXPECT_TRUE(std::isfinite(policy.backoff_before(10000)));
-}
-
 TEST(Supervisor, BatchQueuePopsSmallestReadyTicketFirst) {
   BatchQueue queue;
-  util::WallTimer clock;
-  queue.push({2, 0, 0.0});
-  queue.push({0, 1, 0.0});
-  queue.push({1, 0, 0.0});
+  queue.push({2, 0});
+  queue.push({0, 1});
+  queue.push({1, 0});
   EXPECT_EQ(queue.size(), 3u);
-  // Ties on ready time break by batch index, regardless of push order.
-  EXPECT_EQ(queue.pop(clock)->batch_index, 0u);
-  EXPECT_EQ(queue.pop(clock)->batch_index, 1u);
-  EXPECT_EQ(queue.pop(clock)->batch_index, 2u);
+  // Lowest batch index first, regardless of push order.
+  EXPECT_EQ(queue.pop()->batch_index, 0u);
+  EXPECT_EQ(queue.pop()->batch_index, 1u);
+  EXPECT_EQ(queue.pop()->batch_index, 2u);
   queue.close();
-  EXPECT_FALSE(queue.pop(clock).has_value());  // closed + empty
-}
-
-TEST(Supervisor, BatchQueueHonorsReadyTimeAndBackoffOrdering) {
-  BatchQueue queue;
-  util::WallTimer clock;
-  // Index 0 is backed off into the future; index 5 is ready now. A
-  // naive FIFO would hand out the backed-off ticket first and stall.
-  queue.push({0, 1, 0.030});
-  queue.push({5, 0, 0.0});
-  EXPECT_EQ(queue.pop(clock)->batch_index, 5u);
-  // The backed-off ticket ripens after its not_before (bounded wait).
-  const auto ticket = queue.pop(clock);
-  ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(ticket->batch_index, 0u);
-  EXPECT_GE(clock.seconds(), 0.030);
+  EXPECT_FALSE(queue.pop().has_value());  // closed + empty
 }
 
 TEST(Supervisor, BatchQueueDrainReturnsEverythingUnripened) {
   BatchQueue queue;
-  queue.push({0, 0, 0.0});
-  queue.push({1, 2, 1e9});  // not ready for ~32 years
+  queue.push({0, 0});
+  queue.push({1, 2});
   const auto drained = queue.drain();
   EXPECT_EQ(drained.size(), 2u);
   EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(Supervisor, TimeoutIsLaneSafeAndRetried) {
-  Supervisor sup(2, /*max_lane_restarts=*/1);
-  const RetryPolicy policy{3, 0.0};
-  const auto d = sup.on_failure(0, Status::kTimedOut, 0, policy);
+  Supervisor sup(2, /*max_lane_restarts=*/1, /*max_attempts=*/3);
+  const auto d = sup.on_failure(0, Status::kTimedOut, 0);
   EXPECT_TRUE(d.retry_batch);
   EXPECT_FALSE(d.restart_lane);
   EXPECT_FALSE(d.quarantine_lane);
@@ -105,10 +73,9 @@ TEST(Supervisor, TimeoutIsLaneSafeAndRetried) {
 }
 
 TEST(Supervisor, LaneFatalRestartsThenQuarantines) {
-  Supervisor sup(2, /*max_lane_restarts=*/1);
-  const RetryPolicy policy{3, 0.0};
+  Supervisor sup(2, /*max_lane_restarts=*/1, /*max_attempts=*/3);
 
-  const auto first = sup.on_failure(0, Status::kUnavailable, 0, policy);
+  const auto first = sup.on_failure(0, Status::kUnavailable, 0);
   EXPECT_TRUE(first.restart_lane);
   EXPECT_FALSE(first.quarantine_lane);
   EXPECT_TRUE(first.retry_batch);
@@ -118,7 +85,7 @@ TEST(Supervisor, LaneFatalRestartsThenQuarantines) {
   EXPECT_EQ(sup.state(0), LaneState::kHealthy);
 
   // Restart budget (1) spent: the next lane-fatal failure quarantines.
-  const auto second = sup.on_failure(0, Status::kOutOfMemory, 1, policy);
+  const auto second = sup.on_failure(0, Status::kOutOfMemory, 1);
   EXPECT_FALSE(second.restart_lane);
   EXPECT_TRUE(second.quarantine_lane);
   EXPECT_TRUE(second.retry_batch);  // lane 1 is still alive to run it
@@ -129,19 +96,18 @@ TEST(Supervisor, LaneFatalRestartsThenQuarantines) {
 }
 
 TEST(Supervisor, NoRetryWhenAttemptsExhaustedOrNoLaneLeft) {
-  const RetryPolicy policy{2, 0.0};
   {
-    Supervisor sup(2, 1);
+    Supervisor sup(2, 1, /*max_attempts=*/2);
     // Attempt 1 of a max_attempts=2 budget: no further retry.
-    const auto d = sup.on_failure(0, Status::kTimedOut, 1, policy);
+    const auto d = sup.on_failure(0, Status::kTimedOut, 1);
     EXPECT_FALSE(d.retry_batch);
     EXPECT_EQ(d.query_status, Status::kTimedOut);
   }
   {
-    Supervisor sup(1, 0);
+    Supervisor sup(1, 0, /*max_attempts=*/2);
     // Single lane quarantined on its first lane-fatal failure: no lane
     // is left to retry on, whatever the attempt budget says.
-    const auto d = sup.on_failure(0, Status::kUnavailable, 0, policy);
+    const auto d = sup.on_failure(0, Status::kUnavailable, 0);
     EXPECT_TRUE(d.quarantine_lane);
     EXPECT_FALSE(d.retry_batch);
     EXPECT_EQ(sup.live_lanes(), 0);

@@ -197,14 +197,14 @@ void expect_same_items(const vgpu::RunStats& base, const vgpu::RunStats& got,
 }
 
 // Each two-level draw reruns flat and must keep results and item
-// counters, and, under raw and auto, ship no more inter-node bytes
-// (tests/config_space.hpp).
+// counters, and ship no more inter-node bytes (tests/config_space.hpp).
 TEST(TwoLevel, BfsBitIdenticalToFlatAcrossModesAndFormats) {
   const auto g = test::small_rmat();
   for (const core::SyncMode mode :
        {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
     for (const core::WireFormat f :
-         {core::WireFormat::kRawIds, core::WireFormat::kAuto}) {
+         {core::WireFormat::kRawIds, core::WireFormat::kBitmap,
+          core::WireFormat::kDeltaVarint, core::WireFormat::kAuto}) {
       const auto two = test::space::expect_holds(
           g, {.gpus = 4,
               .nodes = 2,
@@ -233,6 +233,44 @@ TEST(TwoLevel, SsspBitIdenticalToFlatOnWideCluster) {
             .cfg = {.sync_mode = mode,
                     .wire_format = core::WireFormat::kAuto,
                     .two_level_combine = true}});
+    EXPECT_GT(two.stats.gateway_merges, 0u);
+  }
+}
+
+// Under a forced bitmap the per-sender pushes of these draws fall back
+// to varint, and a gateway that re-encoded the merged (ascending)
+// payload as a bitmap shipped more inter-node bytes than the flat
+// pushes (502 vs 315 and 638 vs 350). The gateway takes the merged
+// payload's smallest encoding instead.
+TEST(TwoLevel, ForcedBitmapGatewayShipsNoMoreThanFlat) {
+  const test::space::Draw draws[] = {
+      {.prim = test::space::Prim::kBfs,
+       .gpus = 2,
+       .nodes = 2,
+       .sources = {149},
+       .cfg = {.partitioner = "random",
+               .duplication = part::Duplication::kOneHop,
+               .sync_mode = core::SyncMode::kEventPipeline,
+               .scheme = vgpu::AllocationScheme::kJustEnough,
+               .wire_format = core::WireFormat::kBitmap,
+               .two_level_combine = true}},
+      {.prim = test::space::Prim::kDobfs,
+       .gpus = 2,
+       .nodes = 2,
+       .sources = {106},
+       .cfg = {.partitioner = "chunk",
+               .sync_mode = core::SyncMode::kEventPipeline,
+               .scheme = vgpu::AllocationScheme::kMax,
+               .wire_format = core::WireFormat::kBitmap,
+               .two_level_combine = true}},
+  };
+  const std::uint64_t graph_seeds[] = {8746175259331310815ull,
+                                       13919429326818078600ull};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("draw " + std::to_string(i + 1));
+    const auto two = test::space::expect_holds(
+        test::space::family_graph("grid", graph_seeds[i]), draws[i]);
+    EXPECT_GT(two.stats.inter_node_bytes, 0u);
     EXPECT_GT(two.stats.gateway_merges, 0u);
   }
 }
