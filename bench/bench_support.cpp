@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -40,6 +41,13 @@ bool g_wire_format_set = false;
 // and all modeled quantities are bit-identical at any value.
 int g_host_threads = 0;
 bool g_host_threads_set = false;
+
+// A rejected flag is a usage error, not a crash: print the message and
+// exit with status 2, so a script or CTest can tell the two apart.
+[[noreturn]] void reject_flag(const Error& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  std::exit(2);
+}
 }  // namespace
 
 VertexT pick_source(const graph::Graph& g) {
@@ -141,7 +149,7 @@ Outcome run_primitive(const std::string& primitive, const graph::Graph& g,
 }
 
 QueryWorkload parse_query_workload(const util::Options& options,
-                                   QueryWorkload defaults) {
+                                   QueryWorkload defaults) try {
   // Range-check the parsed values before narrowing them, so -1 or
   // 2^32 + 1 cannot wrap into range.
   const long long queries = options.get_int(
@@ -157,6 +165,8 @@ QueryWorkload parse_query_workload(const util::Options& options,
       "query-seed", static_cast<long long>(defaults.seed)));
   w.batch_width = static_cast<int>(batch_width);
   return w;
+} catch (const Error& e) {
+  reject_flag(e);
 }
 
 std::vector<std::string> suite_datasets(const std::string& suite) {
@@ -172,7 +182,7 @@ std::vector<std::string> suite_datasets(const std::string& suite) {
 }
 
 util::Options parse_common(int argc, char** argv,
-                           std::initializer_list<std::string_view> extra) {
+                           std::initializer_list<std::string_view> extra) try {
   util::Options options(argc, argv);
   std::vector<std::string_view> known = {"suite",      "seed",
                                          "csv",        "trace",
@@ -204,6 +214,8 @@ util::Options parse_common(int argc, char** argv,
                      : g_fault_plan.c_str());
   }
   return options;
+} catch (const Error& e) {
+  reject_flag(e);
 }
 
 void emit(util::Table& table, const util::Options& options) {

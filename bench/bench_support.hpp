@@ -78,7 +78,8 @@ VertexT pick_source(const graph::Graph& g);
 /// Serve-layer workload knobs from the common flags (--queries /
 /// --query-seed / --batch-width), with the binary's defaults applied.
 /// Feed `queries`/`seed` to serve::generate_queries for a workload
-/// deterministic in (graph, queries, seed).
+/// deterministic in (graph, queries, seed). An out-of-range or
+/// malformed value prints its message and exits with status 2.
 struct QueryWorkload {
   std::size_t queries = 256;
   std::uint64_t seed = 1;
@@ -90,7 +91,8 @@ QueryWorkload parse_query_workload(const util::Options& options,
 /// Parse the common flags; returns the Options for further queries.
 /// Rejects any flag that is neither common (suite/seed/csv/trace) nor
 /// in `extra` (the binary's own flags), and arms --trace capture for
-/// the next run_primitive() call.
+/// the next run_primitive() call. A rejected flag (unknown, malformed
+/// or out of range) prints its message and exits with status 2.
 util::Options parse_common(int argc, char** argv,
                            std::initializer_list<std::string_view> extra = {});
 

@@ -706,110 +706,111 @@ void EnactorBase::fill_associates(Slice& s, std::span<const VertexT> sources,
   }
 }
 
+void EnactorBase::push_routed(Slice& s, SizeT items, const char* kernel) {
+  const part::SubGraph& sub = *s.sub;
+  const int nva = num_vertex_associates();
+  const int nvv = num_value_associates();
+  // Pipeline mode charges the packaging kernel in per-peer chunks so
+  // each transfer's ready stamp covers only the packaging it actually
+  // waited for; the tail charge below tops the totals up to the barrier
+  // schedule's single (items, 1 launch) charge, keeping W bit-identical
+  // across modes.
+  SizeT chunked = 0;
+  for (int peer = 0; peer < n_; ++peer) {
+    if (peer == s.gpu) continue;
+    const std::span<const VertexT> sources = peer_bucket(s, peer);
+    if (sources.empty()) {
+      mark_peer_done(s, peer);
+      continue;
+    }
+    if (pipeline_) {
+      // This peer's slice of the packaging kernel: its transfer may
+      // start once this chunk is done, not after the whole pass.
+      s.device->add_kernel_cost(0, sources.size(), 0, kernel);
+      chunked += static_cast<SizeT>(sources.size());
+    }
+    Message message = bus_->acquire();
+    message.set_layout(nva, nvv, sources.size());
+    // Translate to receiver-local IDs (the conversion-table pass; a
+    // disjoint-position gather, so parallel-safe and byte-exact).
+    util::parallel_for(host_pool_, sources.size(), 4096,
+                       [&](std::size_t b, std::size_t e, std::size_t) {
+                         for (std::size_t i = b; i < e; ++i) {
+                           message.vertices[i] =
+                               sub.host_local_id[sources[i]];
+                         }
+                       });
+    fill_associates(s, sources, message, nva, nvv);
+    encode_for_wire(s, message);
+    bus_->push(s.gpu, peer, std::move(message));
+    mark_peer_done(s, peer);
+  }
+  // The package step is itself a kernel (C in Table I); in pipeline
+  // mode only the not-yet-charged remainder.
+  s.device->add_kernel_cost(0, items - chunked, 1, kernel);
+}
+
 void EnactorBase::split_frontier_and_push(Slice& s) {
   Frontier& frontier = s.frontier;
   if (n_ == 1) {
     frontier.swap();
     return;
   }
-  const part::SubGraph& sub = *s.sub;
   const SizeT out_items = frontier.output_size();
-  const CommStrategy strategy = problem_.config().comm;
-  const int nva = num_vertex_associates();
-  const int nvv = num_value_associates();
-
-  // Pipeline mode charges the split/package kernel in per-peer chunks
-  // (tracked here) so each transfer's ready stamp covers only the
-  // packaging it actually waited for; the tail charge below tops the
-  // totals up to the barrier schedule's single (out_items, 1 launch)
-  // charge, keeping W bit-identical across modes.
-  std::uint64_t chunk_vertices = 0;
-  std::uint64_t chunk_launches = 0;
-
-  if (strategy == CommStrategy::kBroadcast) {
-    // Each peer receives the whole generated frontier (duplicate-all
-    // guarantees local ID == global ID on every GPU). Package once
-    // into the slice's persistent prototype — one batched gather pass
-    // per associate slot — then stamp a pooled copy out per peer.
-    if (out_items != 0) {
-      Message& proto = s.broadcast_proto;
-      proto.recycle();
-      proto.set_layout(nva, nvv, out_items);
-      std::size_t i = 0;
-      frontier.for_each_output([&](VertexT v) { proto.vertices[i++] = v; });
-      const std::span<const VertexT> sent(proto.vertices.data(),
-                                          static_cast<std::size_t>(out_items));
-      fill_associates(s, sent, proto, nva, nvv);
-      if (pipeline_) {
-        // The single packaging pass produced every peer's payload, so
-        // the whole charge lands before the first push: each transfer
-        // becomes ready the moment packaging finished.
-        s.device->add_kernel_cost(0, out_items, 1, "split_package");
-        chunk_vertices = out_items;
-        chunk_launches = 1;
-      }
-      // Encode the prototype once (every peer ships the same payload,
-      // so one encode kernel covers all copies — assign_from clones
-      // the encoded bytes).
-      encode_for_wire(s, proto);
-      for (int peer = 0; peer < n_; ++peer) {
-        if (peer == s.gpu) continue;
-        Message message = bus_->acquire();
-        message.assign_from(proto);
-        bus_->push(s.gpu, peer, std::move(message));
-        mark_peer_done(s, peer);
-      }
-    } else {
-      for (int peer = 0; peer < n_; ++peer) mark_peer_done(s, peer);
-    }
-    frontier.split_output([&](VertexT v) { return sub.is_hosted(v); },
-                          [](VertexT) {});
-  } else {
+  if (problem_.config().comm != CommStrategy::kBroadcast) {
     // Selective: flat route pass first (compact the local sub-frontier
     // in place, scatter each remote vertex's sender-local ID into its
-    // peer bucket), then one packaging pass per peer with one batched
-    // gather per associate slot.
+    // peer bucket), then one packaging pass per peer.
     route_output_frontier(s);
+    push_routed(s, out_items, "split_package");
+    frontier.swap();
+    return;
+  }
+
+  // Broadcast: each peer receives the whole generated frontier
+  // (duplicate-all guarantees local ID == global ID on every GPU).
+  // Package once into the slice's persistent prototype — one batched
+  // gather pass per associate slot — then stamp a pooled copy out per
+  // peer. In pipeline mode that single packaging pass produced every
+  // peer's payload, so its whole charge lands before the first push
+  // (each transfer is ready the moment packaging finished) and the
+  // tail charge below is what remains of the barrier schedule's
+  // single (out_items, 1 launch) charge.
+  bool charged = false;
+  if (out_items != 0) {
+    const int nva = num_vertex_associates();
+    const int nvv = num_value_associates();
+    Message& proto = s.broadcast_proto;
+    proto.recycle();
+    proto.set_layout(nva, nvv, out_items);
+    std::size_t i = 0;
+    frontier.for_each_output([&](VertexT v) { proto.vertices[i++] = v; });
+    const std::span<const VertexT> sent(proto.vertices.data(),
+                                        static_cast<std::size_t>(out_items));
+    fill_associates(s, sent, proto, nva, nvv);
+    if (pipeline_) {
+      s.device->add_kernel_cost(0, out_items, 1, "split_package");
+      charged = true;
+    }
+    // Encode the prototype once (every peer ships the same payload,
+    // so one encode kernel covers all copies — assign_from clones the
+    // encoded bytes).
+    encode_for_wire(s, proto);
     for (int peer = 0; peer < n_; ++peer) {
       if (peer == s.gpu) continue;
-      const std::span<const VertexT> sources = peer_bucket(s, peer);
-      if (sources.empty()) {
-        mark_peer_done(s, peer);
-        continue;
-      }
-      if (pipeline_) {
-        // This peer's slice of the packaging kernel: its transfer may
-        // start once this chunk is done, not after the whole pass.
-        s.device->add_kernel_cost(0, sources.size(), 0, "split_package");
-        chunk_vertices += sources.size();
-      }
       Message message = bus_->acquire();
-      message.set_layout(nva, nvv, sources.size());
-      // Translate to receiver-local IDs (the conversion-table pass; a
-      // disjoint-position gather, so parallel-safe and byte-exact).
-      util::parallel_for(host_pool_, sources.size(), 4096,
-                         [&](std::size_t b, std::size_t e, std::size_t) {
-                           for (std::size_t i = b; i < e; ++i) {
-                             message.vertices[i] =
-                                 sub.host_local_id[sources[i]];
-                           }
-                         });
-      fill_associates(s, sources, message, nva, nvv);
-      encode_for_wire(s, message);
+      message.assign_from(proto);
       bus_->push(s.gpu, peer, std::move(message));
       mark_peer_done(s, peer);
     }
-  }
-
-  // The split/package step is itself a kernel (C in Table I). In
-  // pipeline mode only the not-yet-charged remainder (the local
-  // compaction share, plus the launch unless broadcast charged it).
-  if (pipeline_) {
-    s.device->add_kernel_cost(0, out_items - chunk_vertices,
-                              1 - chunk_launches, "split_package");
   } else {
-    s.device->add_kernel_cost(0, out_items, 1, "split_package");
+    for (int peer = 0; peer < n_; ++peer) mark_peer_done(s, peer);
   }
+  const part::SubGraph& sub = *s.sub;
+  frontier.split_output([&](VertexT v) { return sub.is_hosted(v); },
+                        [](VertexT) {});
+  s.device->add_kernel_cost(0, charged ? 0 : out_items, charged ? 0 : 1,
+                            "split_package");
   frontier.swap();
 }
 

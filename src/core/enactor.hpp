@@ -29,8 +29,8 @@
 // expand_incoming(); optionally the batched associate-packaging hooks
 // fill_vertex_associates() / fill_value_associates() (what to send),
 // communicate() (for non-frontier-shaped communication like PR's rank
-// pushes), begin_iteration() (e.g. DOBFS's global direction decision),
-// and converged().
+// pushes: route_items() + push_routed()), begin_iteration() (e.g.
+// DOBFS's global direction decision), and converged().
 #pragma once
 
 #include <atomic>
@@ -157,9 +157,11 @@ class EnactorBase {
   ///
   /// Host-parallelism contract: the framework may invoke a fill hook
   /// concurrently on disjoint subranges of one message's sources (out
-  /// is offset accordingly), so implementations must be pure gathers —
-  /// read per-vertex state, write only out[i]. Every in-tree primitive
-  /// already satisfies this.
+  /// is offset accordingly), so an implementation may write out[i] and
+  /// the state of sources[i] itself — nothing else. A source appears
+  /// once per message, so that stays race-free: a pure gather (every
+  /// frontier primitive) or a hand-off that also clears the source's
+  /// state (PageRank's accumulator).
   virtual void fill_vertex_associates(Slice& s, int slot,
                                       std::span<const VertexT> sources,
                                       VertexT* out);
@@ -221,6 +223,15 @@ class EnactorBase {
   /// frontier-shaped data.
   void split_frontier_and_push(Slice& s);
 
+  /// Package and push every peer's bucket from the last route pass
+  /// (route_output_frontier or route_items), one message per peer: IDs
+  /// translated to the receiver's local numbering, the fill hooks'
+  /// associates, the wire encode. Charges the `kernel` packaging step
+  /// as `items` vertices and one launch — per peer chunk and a tail in
+  /// pipeline mode, where each peer's handshake is published as soon as
+  /// its message is pushed (or at once, for an empty bucket).
+  void push_routed(Slice& s, SizeT items, const char* kernel);
+
   /// Selective route pass over the output frontier: compacts the local
   /// sub-frontier in place and scatters each remote vertex's
   /// sender-local ID into the slice's flat per-peer buckets (counting
@@ -273,9 +284,6 @@ class EnactorBase {
   /// several tagged messages per peer (BC) can simply never call this.
   void mark_peer_done(Slice& s, int peer);
 
-  /// Whether this enactor runs the event-driven pipeline schedule.
-  bool pipeline_mode() const noexcept { return pipeline_; }
-
   /// Compress a packaged message's vertex array per
   /// Config::wire_format before bus().push (no-op under kRawIds, the
   /// default). Charges the modeled encode kernel to the *sender's*
@@ -283,15 +291,15 @@ class EnactorBase {
   /// that override communicate() call this on each message they build.
   void encode_for_wire(Slice& s, Message& msg);
 
+ private:
+  enum class ThreadStatus { kWait, kRunning, kIdle, kToKill };
+
   /// Run the associate fill hooks for one packaged message,
   /// parallelized over disjoint source subranges when the pool is
   /// installed (see the fill hook contract above). Output bytes are
   /// position-exact, so the message is identical at every width.
   void fill_associates(Slice& s, std::span<const VertexT> sources,
                        Message& msg, int nva, int nvv);
-
- private:
-  enum class ThreadStatus { kWait, kRunning, kIdle, kToKill };
 
   void worker(int gpu);
   /// The superstep loop of both schedules: compute + push, wait, then

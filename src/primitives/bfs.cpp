@@ -26,28 +26,9 @@ void BfsProblem::reset(VertexT src) {
     if (config().mark_predecessors) d.preds.fill(kInvalidVertex);
   }
   // Label the source on its host GPU (and on every GPU that has a
-  // proxy for it, so local advances skip it immediately).
-  const auto [host, host_local] = locate(src);
-  slices_[host].labels[host_local] = 0;
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    if (gpu == host) continue;
-    // Under duplicate-all the source exists everywhere (local == global
-    // ID); under 1-hop it may exist as a proxy. Find it via the
-    // subgraph's local numbering.
-    const part::SubGraph& s = sub(gpu);
-    if (config().duplication == part::Duplication::kAll) {
-      slices_[gpu].labels[src] = 0;
-    } else {
-      // Proxies are the tail of the local numbering, sorted by global
-      // ID; linear scan is fine at reset time.
-      for (VertexT lv = s.num_local; lv < s.num_total(); ++lv) {
-        if (s.local_to_global[lv] == src) {
-          slices_[gpu].labels[lv] = 0;
-          break;
-        }
-      }
-    }
-  }
+  // copy of it, so local advances skip it immediately).
+  for_each_copy(*this, src,
+                [&](int gpu, VertexT lv) { slices_[gpu].labels[lv] = 0; });
 }
 
 void BfsEnactor::reset(VertexT src) {

@@ -61,6 +61,32 @@ std::vector<T> gather_vertex_values(const part::PartitionedGraph& pg,
   return out;
 }
 
+/// Visit every local copy of global vertex `v` as fn(gpu, local_id):
+/// the host copy, plus the duplicate-all replica (local == global ID)
+/// or the 1-hop proxy on every other GPU that has one — how a reset
+/// places a source so no GPU re-discovers it.
+template <typename Fn>
+void for_each_copy(const core::ProblemBase& p, VertexT v, Fn&& fn) {
+  const auto [host, host_local] = p.locate(v);
+  for (int gpu = 0; gpu < p.num_gpus(); ++gpu) {
+    if (gpu == host) {
+      fn(gpu, host_local);
+    } else if (p.config().duplication == part::Duplication::kAll) {
+      fn(gpu, v);
+    } else {
+      // Proxies are the tail of the local numbering; a linear scan is
+      // fine at reset time.
+      const part::SubGraph& s = p.sub(gpu);
+      for (VertexT lv = s.num_local; lv < s.num_total(); ++lv) {
+        if (s.local_to_global[lv] == v) {
+          fn(gpu, lv);
+          break;
+        }
+      }
+    }
+  }
+}
+
 /// Local vertex IDs hosted by GPU `gpu` (the L_i set), in local-ID order.
 std::vector<VertexT> hosted_vertices(const part::SubGraph& sub);
 

@@ -13,33 +13,6 @@ namespace {
 
 constexpr ValueT kInf = std::numeric_limits<ValueT>::infinity();
 
-/// Visit every local copy of global vertex `v` as (gpu, local_id):
-/// the host copy plus duplicate-all replicas or 1-hop proxies,
-/// mirroring BfsProblem::reset's placement scan.
-template <typename Fn>
-void for_each_copy(const core::ProblemBase& p, VertexT v, Fn&& fn) {
-  const auto [host, host_local] = p.locate(v);
-  for (int gpu = 0; gpu < p.num_gpus(); ++gpu) {
-    if (gpu == host) {
-      fn(gpu, host_local);
-      continue;
-    }
-    const part::SubGraph& s = p.sub(gpu);
-    if (p.config().duplication == part::Duplication::kAll) {
-      fn(gpu, v);
-    } else {
-      // Proxies are the tail of the local numbering; linear scan is
-      // fine at reset time.
-      for (VertexT lv = s.num_local; lv < s.num_total(); ++lv) {
-        if (s.local_to_global[lv] == v) {
-          fn(gpu, lv);
-          break;
-        }
-      }
-    }
-  }
-}
-
 std::uint64_t join_mask_word(VertexT lo, VertexT hi) {
   return static_cast<std::uint64_t>(lo) |
          (static_cast<std::uint64_t>(hi) << 32);
@@ -113,6 +86,43 @@ std::vector<std::vector<VertexT>> MsProblemBase::seed_lists() const {
 }
 
 // ------------------------------------------------------------------
+// MsEnactorBase
+// ------------------------------------------------------------------
+
+void MsEnactorBase::reset(std::span<const VertexT> srcs) {
+  ms_base_.reset(srcs);
+  reset_frontiers();
+  const auto seeds = ms_base_.seed_lists();
+  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
+    if (!seeds[gpu].empty()) seed_frontier(gpu, seeds[gpu]);
+  }
+}
+
+void MsEnactorBase::begin_iteration(std::uint64_t /*iteration*/) {
+  // Freeze this iteration's update words and clear the next — the
+  // level-synchronous swap that makes the two-phase advance's test
+  // pure. Runs single-threaded between supersteps; the clear is one
+  // memset-shaped kernel per GPU, charged to the opening superstep.
+  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
+    MaskSlice& m = ms_base_.mask_slice(gpu);
+    std::swap(m.update_cur, m.update_next);
+    m.update_next.fill(0);
+    ms_base_.device(gpu).add_kernel_cost(
+        0, ms_base_.sub(gpu).num_total(), 1, "ms_update_clear");
+  }
+}
+
+void MsEnactorBase::fill_vertex_associates(Slice& s, int slot,
+                                           std::span<const VertexT> sources,
+                                           VertexT* out) {
+  const auto& update = ms_base_.mask_slice(s.gpu).update_next;
+  const int shift = slot == 0 ? 0 : 32;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    out[i] = static_cast<VertexT>(update[sources[i]] >> shift);
+  }
+}
+
+// ------------------------------------------------------------------
 // MsBfs
 // ------------------------------------------------------------------
 
@@ -133,29 +143,6 @@ void MsBfsProblem::reset(std::span<const VertexT> srcs) {
     const std::size_t stride = sub(gpu).num_total();
     slices_[gpu].depth[static_cast<std::size_t>(slot) * stride + lv] = 0;
   });
-}
-
-void MsBfsEnactor::reset(std::span<const VertexT> srcs) {
-  ms_problem_.reset(srcs);
-  reset_frontiers();
-  const auto seeds = ms_problem_.seed_lists();
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    if (!seeds[gpu].empty()) seed_frontier(gpu, seeds[gpu]);
-  }
-}
-
-void MsBfsEnactor::begin_iteration(std::uint64_t /*iteration*/) {
-  // Freeze this iteration's update words and clear the next — the
-  // level-synchronous swap that makes the two-phase advance's test
-  // pure. Runs single-threaded between supersteps; the clear is one
-  // memset-shaped kernel per GPU, charged to the opening superstep.
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    MaskSlice& m = ms_problem_.mask_slice(gpu);
-    std::swap(m.update_cur, m.update_next);
-    m.update_next.fill(0);
-    ms_problem_.device(gpu).add_kernel_cost(
-        0, ms_problem_.sub(gpu).num_total(), 1, "ms_update_clear");
-  }
 }
 
 void MsBfsEnactor::iteration_core(Slice& s) {
@@ -187,16 +174,6 @@ void MsBfsEnactor::iteration_core(Slice& s) {
         }
         return true;
       });
-}
-
-void MsBfsEnactor::fill_vertex_associates(Slice& s, int slot,
-                                          std::span<const VertexT> sources,
-                                          VertexT* out) {
-  const auto& update = ms_problem_.mask_slice(s.gpu).update_next;
-  const int shift = slot == 0 ? 0 : 32;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    out[i] = static_cast<VertexT>(update[sources[i]] >> shift);
-  }
 }
 
 void MsBfsEnactor::expand_incoming(Slice& s, const core::Message& msg) {
@@ -236,18 +213,12 @@ MsBfsResult run_msbfs(const graph::Graph& g, std::span<const VertexT> srcs,
     result.width = problem.width();
     result.stats = enactor.enact();
     const auto& pg = problem.partitioned();
-    const std::size_t nv = pg.global_vertices();
-    result.depth.resize(static_cast<std::size_t>(result.width) * nv);
-    for (int slot = 0; slot < result.width; ++slot) {
-      auto out = result.depth.begin() +
-                 static_cast<std::ptrdiff_t>(slot * nv);
-      for (VertexT v = 0; v < pg.global_vertices(); ++v) {
-        const int gpu = pg.owner_of(v);
-        const std::size_t stride = pg.sub(gpu).num_total();
-        out[v] = problem.data(gpu).depth[static_cast<std::size_t>(slot) *
-                                             stride +
-                                         pg.host_local_of(v)];
-      }
+    for (std::size_t slot = 0; slot < srcs.size(); ++slot) {
+      const auto depth = gather_vertex_values<VertexT>(
+          pg, [&](int gpu, VertexT lv) {
+            return problem.data(gpu).depth[slot * pg.sub(gpu).num_total() + lv];
+          });
+      result.depth.insert(result.depth.end(), depth.begin(), depth.end());
     }
     return result;
   });
@@ -276,25 +247,6 @@ void MsSsspProblem::reset(std::span<const VertexT> srcs) {
     const std::size_t stride = sub(gpu).num_total();
     slices_[gpu].dist[static_cast<std::size_t>(slot) * stride + lv] = 0;
   });
-}
-
-void MsSsspEnactor::reset(std::span<const VertexT> srcs) {
-  ms_problem_.reset(srcs);
-  reset_frontiers();
-  const auto seeds = ms_problem_.seed_lists();
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    if (!seeds[gpu].empty()) seed_frontier(gpu, seeds[gpu]);
-  }
-}
-
-void MsSsspEnactor::begin_iteration(std::uint64_t /*iteration*/) {
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    MaskSlice& m = ms_problem_.mask_slice(gpu);
-    std::swap(m.update_cur, m.update_next);
-    m.update_next.fill(0);
-    ms_problem_.device(gpu).add_kernel_cost(
-        0, ms_problem_.sub(gpu).num_total(), 1, "ms_update_clear");
-  }
 }
 
 int MsSsspEnactor::num_value_associates() const {
@@ -331,16 +283,6 @@ void MsSsspEnactor::iteration_core(Slice& s) {
     m.update_next[dst] |= improved;
     return true;
   });
-}
-
-void MsSsspEnactor::fill_vertex_associates(Slice& s, int slot,
-                                           std::span<const VertexT> sources,
-                                           VertexT* out) {
-  const auto& update = ms_problem_.mask_slice(s.gpu).update_next;
-  const int shift = slot == 0 ? 0 : 32;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    out[i] = static_cast<VertexT>(update[sources[i]] >> shift);
-  }
 }
 
 void MsSsspEnactor::fill_value_associates(Slice& s, int slot,
@@ -393,18 +335,12 @@ MsSsspResult run_msssp(const graph::Graph& g, std::span<const VertexT> srcs,
     result.width = problem.width();
     result.stats = enactor.enact();
     const auto& pg = problem.partitioned();
-    const std::size_t nv = pg.global_vertices();
-    result.dist.resize(static_cast<std::size_t>(result.width) * nv);
-    for (int slot = 0; slot < result.width; ++slot) {
-      auto out = result.dist.begin() +
-                 static_cast<std::ptrdiff_t>(slot * nv);
-      for (VertexT v = 0; v < pg.global_vertices(); ++v) {
-        const int gpu = pg.owner_of(v);
-        const std::size_t stride = pg.sub(gpu).num_total();
-        out[v] = problem.data(gpu).dist[static_cast<std::size_t>(slot) *
-                                            stride +
-                                        pg.host_local_of(v)];
-      }
+    for (std::size_t slot = 0; slot < srcs.size(); ++slot) {
+      const auto dist = gather_vertex_values<ValueT>(
+          pg, [&](int gpu, VertexT lv) {
+            return problem.data(gpu).dist[slot * pg.sub(gpu).num_total() + lv];
+          });
+      result.dist.insert(result.dist.end(), dist.begin(), dist.end());
     }
     return result;
   });

@@ -31,8 +31,9 @@
 // advance). Distances converge to the same unique least fixpoint as
 // individual runs, hence bit-identical results there too.
 //
-// The serve layer (src/serve/) packs point queries into these batches;
-// docs/architecture.md §13 has the state-split and batching story.
+// The serve layer (src/serve/) packs point queries into these batches
+// and enacts each through MsEnactorBase; docs/architecture.md §13 has
+// the state-split and batching story.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +78,10 @@ class MsProblemBase : public core::ProblemBase {
   /// sources, ready for seed_frontier (slot order, deduplicated).
   std::vector<std::vector<VertexT>> seed_lists() const;
 
+  /// Prepare a batched traversal from `srcs` (1..width() sources): the
+  /// derived Problem resets its per-slot values, then reset_masks.
+  virtual void reset(std::span<const VertexT> srcs) = 0;
+
  protected:
   /// Allocate the mask/update words for `gpu` (called from the derived
   /// init_data_slice alongside its own arrays).
@@ -97,6 +102,41 @@ class MsProblemBase : public core::ProblemBase {
   std::vector<MaskSlice> mask_slices_;
 };
 
+/// What the multi-source enactors share: seeding, the per-iteration
+/// update-word swap, and the update word as two VertexT associates.
+/// MsBfs and MsSssp supply only their advance, their combine and (for
+/// MsSssp) the per-slot value associates. The serve layer enacts every
+/// batch through this class.
+class MsEnactorBase : public core::EnactorBase {
+ public:
+  explicit MsEnactorBase(MsProblemBase& problem)
+      : core::EnactorBase(problem), ms_base_(problem) {}
+
+  /// Reset problem data and seed every source's host GPU.
+  void reset(std::span<const VertexT> srcs);
+
+ protected:
+  /// The update word as lo/hi VertexT slots (bit-exact transport).
+  int num_vertex_associates() const override { return 2; }
+  void fill_vertex_associates(Slice& s, int slot,
+                              std::span<const VertexT> sources,
+                              VertexT* out) override;
+  /// Swap update_cur/update_next and clear the new next on every GPU
+  /// (single-threaded between supersteps); charges the clear as one
+  /// memset-shaped kernel per GPU.
+  void begin_iteration(std::uint64_t iteration) override;
+  /// Word-mask visitation is order-independent within an iteration
+  /// (mask ORs are monotone), like BFS's label stamps.
+  bool dense_frontier_capable() const override { return true; }
+  /// Single advance whose allocation precedes the functors; mask/depth
+  /// writes are monotone/first-writer-wins and distance relaxations are
+  /// monotone min, so replay is safe.
+  bool core_replayable() const override { return true; }
+
+ private:
+  MsProblemBase& ms_base_;
+};
+
 // ------------------------------------------------------------------
 // MsBfs
 // ------------------------------------------------------------------
@@ -113,8 +153,7 @@ class MsBfsProblem : public MsProblemBase {
 
   DataSlice& data(int gpu) { return slices_[gpu]; }
 
-  /// Prepare a batched traversal from `srcs` (1..width() sources).
-  void reset(std::span<const VertexT> srcs);
+  void reset(std::span<const VertexT> srcs) override;
 
  protected:
   void init_data_slice(int gpu) override;
@@ -123,32 +162,14 @@ class MsBfsProblem : public MsProblemBase {
   std::vector<DataSlice> slices_;
 };
 
-class MsBfsEnactor : public core::EnactorBase {
+class MsBfsEnactor : public MsEnactorBase {
  public:
   explicit MsBfsEnactor(MsBfsProblem& problem)
-      : core::EnactorBase(problem), ms_problem_(problem) {}
-
-  /// Reset problem data and seed every source's host GPU.
-  void reset(std::span<const VertexT> srcs);
+      : MsEnactorBase(problem), ms_problem_(problem) {}
 
  protected:
   void iteration_core(Slice& s) override;
-  /// The update word as lo/hi VertexT slots (bit-exact transport).
-  int num_vertex_associates() const override { return 2; }
-  void fill_vertex_associates(Slice& s, int slot,
-                              std::span<const VertexT> sources,
-                              VertexT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
-  /// Swap update_cur/update_next and clear the new next on every GPU
-  /// (single-threaded between supersteps); charges the clear as one
-  /// memset-shaped kernel per GPU.
-  void begin_iteration(std::uint64_t iteration) override;
-  /// Word-mask visitation is order-independent within an iteration
-  /// (mask ORs are monotone), like BFS's label stamps.
-  bool dense_frontier_capable() const override { return true; }
-  /// Single advance whose allocation precedes the functors; mask/depth
-  /// writes are monotone/first-writer-wins, so replay is safe.
-  bool core_replayable() const override { return true; }
 
  private:
   MsBfsProblem& ms_problem_;
@@ -189,7 +210,7 @@ class MsSsspProblem : public MsProblemBase {
 
   DataSlice& data(int gpu) { return slices_[gpu]; }
 
-  void reset(std::span<const VertexT> srcs);
+  void reset(std::span<const VertexT> srcs) override;
 
  protected:
   void init_data_slice(int gpu) override;
@@ -198,30 +219,20 @@ class MsSsspProblem : public MsProblemBase {
   std::vector<DataSlice> slices_;
 };
 
-class MsSsspEnactor : public core::EnactorBase {
+class MsSsspEnactor : public MsEnactorBase {
  public:
   explicit MsSsspEnactor(MsSsspProblem& problem)
-      : core::EnactorBase(problem), ms_problem_(problem) {}
-
-  void reset(std::span<const VertexT> srcs);
+      : MsEnactorBase(problem), ms_problem_(problem) {}
 
  protected:
   void iteration_core(Slice& s) override;
-  int num_vertex_associates() const override { return 2; }
   /// One ValueT slot per batch slot: the sender's tentative distance.
   /// Receivers min-combine only the slots set in the update word.
   int num_value_associates() const override;
-  void fill_vertex_associates(Slice& s, int slot,
-                              std::span<const VertexT> sources,
-                              VertexT* out) override;
   void fill_value_associates(Slice& s, int slot,
                              std::span<const VertexT> sources,
                              ValueT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
-  void begin_iteration(std::uint64_t iteration) override;
-  bool dense_frontier_capable() const override { return true; }
-  /// Monotone min-relaxations: replay-safe, as in SSSP.
-  bool core_replayable() const override { return true; }
 
  private:
   MsSsspProblem& ms_problem_;

@@ -91,45 +91,25 @@ void PagerankEnactor::communicate(Slice& s) {
   }
   // Push each border proxy's accumulated rank to its host GPU. The
   // vertex set is static; only the values change (Algorithm 3). Route
-  // first (reusing the slice's per-peer scratch), then package one
-  // pooled message per peer so the steady state allocates nothing.
+  // the proxies that hold a contribution (reusing the slice's per-peer
+  // scratch), then package one pooled message per peer so the steady
+  // state allocates nothing.
   PagerankProblem::DataSlice& d = pr_problem_.data(s.gpu);
-  const part::SubGraph& sub = *s.sub;
   route_items(s, d.border, [&](VertexT p) { return d.acc[p] != 0; });
-  std::uint64_t chunk_vertices = 0;
-  for (int peer = 0; peer < num_gpus(); ++peer) {
-    if (peer == s.gpu) continue;
-    const std::span<const VertexT> sources = peer_bucket(s, peer);
-    if (sources.empty()) {
-      mark_peer_done(s, peer);
-      continue;
-    }
-    if (pipeline_mode()) {
-      // This peer's chunk of the packaging kernel: its transfer may
-      // start as soon as the chunk is done (see EnactorBase's
-      // split_frontier_and_push for the pattern).
-      s.device->add_kernel_cost(0, sources.size(), 0, "pr_package");
-      chunk_vertices += sources.size();
-    }
-    core::Message msg = bus().acquire();
-    msg.set_layout(0, 1, sources.size());
-    const auto acc_out = msg.value_slot(0);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      const VertexT p = sources[i];
-      msg.vertices[i] = sub.host_local_id[p];
-      acc_out[i] = d.acc[p];
-      d.acc[p] = 0;
-    }
-    encode_for_wire(s, msg);
-    bus().push(s.gpu, peer, std::move(msg));
-    mark_peer_done(s, peer);
-  }
-  // Remainder of the packaging charge (BSP: the whole thing, since no
-  // chunks were carved out above). Vertex/launch totals match across
-  // modes by construction.
-  s.device->add_kernel_cost(0, d.border.size() - chunk_vertices, 1,
-                            "pr_package");
+  push_routed(s, static_cast<SizeT>(d.border.size()), "pr_package");
   s.frontier.swap();
+}
+
+void PagerankEnactor::fill_value_associates(Slice& s, int /*slot*/,
+                                            std::span<const VertexT> sources,
+                                            ValueT* out) {
+  // Hand the accumulated contribution off to its host: the proxy's
+  // accumulator restarts at zero for the next advance.
+  auto& acc = pr_problem_.data(s.gpu).acc;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    out[i] = acc[sources[i]];
+    acc[sources[i]] = 0;
+  }
 }
 
 void PagerankEnactor::expand_incoming(Slice& s, const core::Message& msg) {

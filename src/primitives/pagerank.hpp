@@ -68,6 +68,11 @@ class PagerankEnactor : public core::EnactorBase {
  protected:
   void iteration_core(Slice& s) override;
   void communicate(Slice& s) override;
+  /// One ValueT associate: the proxy's accumulated rank contribution.
+  int num_value_associates() const override { return 1; }
+  void fill_value_associates(Slice& s, int slot,
+                             std::span<const VertexT> sources,
+                             ValueT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
   bool converged(bool all_frontiers_empty, std::uint64_t iteration) override;
   /// Rank pushes commute (floating-point order is fixed by the

@@ -33,23 +33,10 @@ void SsspProblem::reset(VertexT src) {
     d.dist.fill(kInf);
     if (config().mark_predecessors) d.preds.fill(kInvalidVertex);
   }
-  const auto [host, host_local] = locate(src);
-  slices_[host].dist[host_local] = 0;
-  // Also zero any local copies (proxies / duplicate-all replicas).
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    if (gpu == host) continue;
-    const part::SubGraph& s = sub(gpu);
-    if (config().duplication == part::Duplication::kAll) {
-      slices_[gpu].dist[src] = 0;
-    } else {
-      for (VertexT lv = s.num_local; lv < s.num_total(); ++lv) {
-        if (s.local_to_global[lv] == src) {
-          slices_[gpu].dist[lv] = 0;
-          break;
-        }
-      }
-    }
-  }
+  // The host copy and every local copy (proxies / duplicate-all
+  // replicas) start at distance 0.
+  for_each_copy(*this, src,
+                [&](int gpu, VertexT lv) { slices_[gpu].dist[lv] = 0; });
 }
 
 void SsspEnactor::reset(VertexT src) {

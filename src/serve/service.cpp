@@ -133,9 +133,9 @@ struct QueryService::Lane {
   int index = 0;
   vgpu::Machine machine;
   std::unique_ptr<prim::MsBfsProblem> bfs_problem;
-  std::unique_ptr<prim::MsBfsEnactor> bfs_enactor;
+  std::unique_ptr<prim::MsEnactorBase> bfs_enactor;
   std::unique_ptr<prim::MsSsspProblem> sssp_problem;
-  std::unique_ptr<prim::MsSsspEnactor> sssp_enactor;
+  std::unique_ptr<prim::MsEnactorBase> sssp_enactor;
   std::unique_ptr<vgpu::FaultInjector> injector;
 
   Lane(int idx, int num_gpus)
@@ -217,33 +217,6 @@ bool QueryService::Batch::add(std::size_t query_index, VertexT src,
   if (it == sources.end()) sources.push_back(src);
   members.push_back({query_index, slot});
   return true;
-}
-
-std::vector<QueryService::Batch> QueryService::pack(
-    std::span<const Query> queries) const {
-  std::vector<Batch> batches;
-  // One open batch per class; queries on an already-batched source
-  // share its slot, so a batch can answer more queries than its width.
-  int open[2] = {-1, -1};  // index into batches, or -1
-  std::uint64_t next_id = 1;
-  const auto width = static_cast<std::size_t>(options_.batch_width);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    const bool sssp = q.kind == QueryKind::kSsspDist;
-    const int cls = sssp ? 1 : 0;
-    if (open[cls] >= 0 &&
-        batches[static_cast<std::size_t>(open[cls])].add(i, q.src, width)) {
-      continue;
-    }
-    // No open batch, or it is full: open the next one.
-    Batch b;
-    b.id = next_id++;
-    b.sssp = sssp;
-    b.add(i, q.src);
-    open[cls] = static_cast<int>(batches.size());
-    batches.push_back(std::move(b));
-  }
-  return batches;
 }
 
 std::vector<QueryResult> QueryService::run(std::span<const Query> queries) {
@@ -342,15 +315,6 @@ std::vector<QueryResult> QueryService::execute(
     r.attempts = 0;
     complete_one();
   };
-  const auto enqueue_batch = [&](Batch&& b, int attempt) {
-    std::size_t index;
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex);
-      index = batches.size();
-      batches.push_back(std::move(b));
-    }
-    queue.push({index, attempt});
-  };
   // Re-pack a failed batch's unresolved members into a fresh batch
   // (fresh slot assignment — answers are per-slot deterministic, so
   // re-packing cannot change them) and requeue it.
@@ -364,7 +328,13 @@ std::vector<QueryResult> QueryService::execute(
       }
     }
     if (nb.members.empty()) return;
-    enqueue_batch(std::move(nb), next_attempt);
+    std::size_t index;
+    {
+      std::lock_guard<std::mutex> lock(batch_mutex);
+      index = batches.size();
+      batches.push_back(std::move(nb));
+    }
+    queue.push({index, next_attempt});
   };
 
   // Enact + extract. Only unresolved members are answered; extra slots
@@ -374,16 +344,11 @@ std::vector<QueryResult> QueryService::execute(
                                int attempt) {
     vgpu::Tracer* tracer = lane.machine.tracer();
     if (tracer != nullptr) tracer->set_batch(batch.id);
-    vgpu::RunStats run;
-    if (batch.sssp) {
-      lane.sssp_enactor->set_enact_deadline(budget_s);
-      lane.sssp_enactor->reset(batch.sources);
-      run = lane.sssp_enactor->enact();
-    } else {
-      lane.bfs_enactor->set_enact_deadline(budget_s);
-      lane.bfs_enactor->reset(batch.sources);
-      run = lane.bfs_enactor->enact();
-    }
+    prim::MsEnactorBase& enactor =
+        batch.sssp ? *lane.sssp_enactor : *lane.bfs_enactor;
+    enactor.set_enact_deadline(budget_s);
+    enactor.reset(batch.sources);
+    const vgpu::RunStats run = enactor.enact();
     if (tracer != nullptr) tracer->set_batch(0);
     const double done_ms = run_timer.milliseconds();
     for (const Batch::Member& m : batch.members) {
@@ -527,23 +492,46 @@ std::vector<QueryResult> QueryService::execute(
     }
   };
 
-  // Seed the queue (closed loop) or start the arrival dispatcher
-  // (open loop), then let the lanes drain it.
+  // Batching, one step for both modes: admit(i) adds query i to its
+  // class's open batch (a query on an already-batched source shares
+  // its slot, so a batch can answer more queries than its width) or,
+  // when that batch is full, queues it and opens the next. A batch
+  // takes its queue index — its slot in `batches` — when it opens, and
+  // its ticket is queued when it fills or admission goes idle or ends.
+  // Until then only the admitting thread touches it; the deque's
+  // push_back moves no element, so the pointer survives requeues.
+  const auto width = static_cast<std::size_t>(options_.batch_width);
+  Batch* open[2] = {nullptr, nullptr};  // per class: BFS, SSSP
+  std::size_t open_index[2] = {0, 0};
+  const auto flush = [&](int cls) {
+    if (open[cls] == nullptr) return;
+    queue.push({open_index[cls], 0});
+    open[cls] = nullptr;
+  };
+  const auto admit = [&](std::size_t i) {
+    const Query& q = queries[i];
+    const bool sssp = q.kind == QueryKind::kSsspDist;
+    const int cls = sssp ? 1 : 0;
+    pending.fetch_add(1, std::memory_order_acq_rel);
+    if (open[cls] != nullptr && open[cls]->add(i, q.src, width)) return;
+    flush(cls);
+    std::lock_guard<std::mutex> lock(batch_mutex);
+    open_index[cls] = batches.size();
+    open[cls] = &batches.emplace_back();
+    open[cls]->id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
+    open[cls]->sssp = sssp;
+    open[cls]->add(i, q.src);
+  };
+
+  // Closed loop: admit everything at t = 0 before the lanes start.
+  // Open loop: a dispatcher admits each query at its arrival.
   std::thread dispatcher;
   if (!open_loop) {
-    std::vector<Batch> packed = pack(queries);
-    next_batch_id.store(packed.size() + 1, std::memory_order_relaxed);
-    for (Batch& b : packed) enqueue_batch(std::move(b), 0);
+    for (std::size_t i = 0; i < queries.size(); ++i) admit(i);
+    flush(0);
+    flush(1);
   } else {
     dispatcher = std::thread([&] {
-      Batch open[2];
-      bool active[2] = {false, false};
-      const auto flush = [&](int cls) {
-        if (!active[cls]) return;
-        enqueue_batch(std::move(open[cls]), 0);
-        open[cls] = Batch{};
-        active[cls] = false;
-      };
       for (std::size_t i = 0; i < queries.size(); ++i) {
         const double gap = arrival_s[i] - run_timer.seconds();
         if (gap > 0) {
@@ -553,7 +541,6 @@ std::vector<QueryResult> QueryService::execute(
           flush(1);
           std::this_thread::sleep_for(std::chrono::duration<double>(gap));
         }
-        const Query& q = queries[i];
         if (options_.admission_capacity > 0 &&
             pending.load(std::memory_order_acquire) >=
                 options_.admission_capacity) {
@@ -561,20 +548,7 @@ std::vector<QueryResult> QueryService::execute(
           continue;
         }
         admit_ms[i] = run_timer.milliseconds();
-        pending.fetch_add(1, std::memory_order_acq_rel);
-        const bool sssp = q.kind == QueryKind::kSsspDist;
-        const int cls = sssp ? 1 : 0;
-        if (active[cls] &&
-            open[cls].add(i, q.src,
-                          static_cast<std::size_t>(options_.batch_width))) {
-          continue;
-        }
-        // No open batch, or it is full: hand it over, open the next.
-        flush(cls);
-        open[cls].id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
-        open[cls].sssp = sssp;
-        open[cls].add(i, q.src);
-        active[cls] = true;
+        admit(i);
       }
       flush(0);
       flush(1);

@@ -11,8 +11,12 @@
 // Admission packs queries into batches of at most `batch_width`
 // distinct sources — queries on the same source share a slot, and
 // reachability/BFS-depth queries share BFS batches while
-// SSSP-distance queries form SSSP batches. Each batch is one
-// multi-source enactment answering every member at once: the paper's
+// SSSP-distance queries form SSSP batches. One admit step does this
+// for both modes: run() admits every query before the lanes start,
+// run_open_loop()'s dispatcher at each arrival. A batch takes its
+// queue index when it opens, so of the queued batches the one that
+// opened first runs first. Each batch is one multi-source enactment
+// (prim::MsEnactorBase) answering every member at once: the paper's
 // W and H costs (and S supersteps) are paid per *batch*, which is the
 // whole throughput story (bench/serve_throughput gates the ≥3x W+H
 // reduction vs individual runs).
@@ -130,8 +134,9 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Closed loop: admit every query at t = 0, pack into batches,
-  /// multiplex across the lanes, extract per-query answers.
+  /// Closed loop: admit every query at t = 0 (the open loop's admit
+  /// step with every arrival at 0 and no capacity bound), multiplex
+  /// the batches across the lanes, extract per-query answers.
   /// results[i] answers queries[i]; check results[i].status — under
   /// injected faults some queries may resolve kTimedOut/kUnavailable,
   /// but run() itself only throws for non-fault errors (bad input,
@@ -180,7 +185,6 @@ class QueryService {
              std::size_t width = std::numeric_limits<std::size_t>::max());
   };
 
-  std::vector<Batch> pack(std::span<const Query> queries) const;
   /// Machine + Problem/Enactor pairs over pg_ (tracer on lane 0); the
   /// caller attaches the fault injector.
   std::unique_ptr<Lane> build_lane(int index) const;

@@ -61,7 +61,6 @@ Supervisor::Supervisor(int num_lanes, int max_lane_restarts,
                        int max_attempts)
     : max_lane_restarts_(max_lane_restarts),
       max_attempts_(max_attempts),
-      states_(static_cast<std::size_t>(num_lanes), LaneState::kHealthy),
       stats_(static_cast<std::size_t>(num_lanes)) {
   MGG_REQUIRE(num_lanes > 0, "Supervisor needs at least one lane");
   MGG_REQUIRE(max_lane_restarts >= 0, "max_lane_restarts must be >= 0");
@@ -86,19 +85,13 @@ Supervisor::Decision Supervisor::on_failure(int lane, Status status,
     if (stats_[li].restarts < static_cast<std::uint64_t>(max_lane_restarts_)) {
       d.restart_lane = true;
       stats_[li].restarts++;
-      states_[li] = LaneState::kRestarting;
+      stats_[li].state = LaneState::kRestarting;
     } else {
-      d.quarantine_lane = true;
-      states_[li] = LaneState::kQuarantined;
       stats_[li].state = LaneState::kQuarantined;
     }
   }
 
-  int live = 0;
-  for (const LaneState s : states_)
-    if (s != LaneState::kQuarantined) ++live;
-
-  if (attempt + 1 < max_attempts_ && live > 0) {
+  if (attempt + 1 < max_attempts_ && live_lanes_locked() > 0) {
     d.retry_batch = true;
     stats_[li].requeues++;
   }
@@ -108,30 +101,31 @@ Supervisor::Decision Supervisor::on_failure(int lane, Status status,
 void Supervisor::on_restarted(int lane) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto li = static_cast<std::size_t>(lane);
-  MGG_ASSERT(states_[li] == LaneState::kRestarting,
+  MGG_ASSERT(stats_[li].state == LaneState::kRestarting,
              "on_restarted on a lane that was not restarting");
-  states_[li] = LaneState::kHealthy;
   stats_[li].state = LaneState::kHealthy;
 }
 
 void Supervisor::quarantine(int lane) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto li = static_cast<std::size_t>(lane);
-  states_[li] = LaneState::kQuarantined;
-  stats_[li].state = LaneState::kQuarantined;
+  stats_[static_cast<std::size_t>(lane)].state = LaneState::kQuarantined;
 }
 
 LaneState Supervisor::state(int lane) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return states_[static_cast<std::size_t>(lane)];
+  return stats_[static_cast<std::size_t>(lane)].state;
 }
 
 int Supervisor::live_lanes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  int live = 0;
-  for (const LaneState s : states_)
-    if (s != LaneState::kQuarantined) ++live;
-  return live;
+  return live_lanes_locked();
+}
+
+int Supervisor::live_lanes_locked() const {
+  return static_cast<int>(std::count_if(
+      stats_.begin(), stats_.end(), [](const LaneStats& l) {
+        return l.state != LaneState::kQuarantined;
+      }));
 }
 
 }  // namespace mgg::serve

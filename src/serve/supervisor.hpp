@@ -100,9 +100,8 @@ class Supervisor {
 
   /// What to do about one failed enactment attempt.
   struct Decision {
-    bool retry_batch = false;      ///< requeue with attempt + 1
-    bool restart_lane = false;     ///< rebuild this lane's Machine
-    bool quarantine_lane = false;  ///< restart budget spent
+    bool retry_batch = false;   ///< requeue with attempt + 1
+    bool restart_lane = false;  ///< rebuild this lane's Machine
     /// Terminal status for the batch's unresolved queries when
     /// retry_batch is false.
     Status query_status = Status::kUnavailable;
@@ -132,16 +131,19 @@ class Supervisor {
   int live_lanes() const;
 
   /// Mutable per-lane counters (the owning lane thread is the only
-  /// writer of lane `i`'s entry during a run; reads for reporting
-  /// happen after the lanes joined).
+  /// writer of lane `i`'s counters during a run; reads for reporting
+  /// happen after the lanes joined). LaneStats::state is the lane's one
+  /// state record: written only under the supervisor's lock, and read
+  /// through state() and live_lanes() while the lanes run.
   LaneStats& stats(int lane) { return stats_[static_cast<std::size_t>(lane)]; }
   const std::vector<LaneStats>& all_stats() const { return stats_; }
 
  private:
+  int live_lanes_locked() const;
+
   mutable std::mutex mutex_;
   int max_lane_restarts_;
   int max_attempts_;
-  std::vector<LaneState> states_;
   std::vector<LaneStats> stats_;
 };
 

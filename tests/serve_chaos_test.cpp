@@ -66,7 +66,6 @@ TEST(Supervisor, TimeoutIsLaneSafeAndRetried) {
   const auto d = sup.on_failure(0, Status::kTimedOut, 0);
   EXPECT_TRUE(d.retry_batch);
   EXPECT_FALSE(d.restart_lane);
-  EXPECT_FALSE(d.quarantine_lane);
   EXPECT_EQ(d.query_status, Status::kTimedOut);
   EXPECT_EQ(sup.state(0), LaneState::kHealthy);
   EXPECT_EQ(sup.live_lanes(), 2);
@@ -77,7 +76,6 @@ TEST(Supervisor, LaneFatalRestartsThenQuarantines) {
 
   const auto first = sup.on_failure(0, Status::kUnavailable, 0);
   EXPECT_TRUE(first.restart_lane);
-  EXPECT_FALSE(first.quarantine_lane);
   EXPECT_TRUE(first.retry_batch);
   EXPECT_EQ(sup.state(0), LaneState::kRestarting);
   EXPECT_EQ(sup.live_lanes(), 2);  // restarting still counts as live
@@ -87,7 +85,6 @@ TEST(Supervisor, LaneFatalRestartsThenQuarantines) {
   // Restart budget (1) spent: the next lane-fatal failure quarantines.
   const auto second = sup.on_failure(0, Status::kOutOfMemory, 1);
   EXPECT_FALSE(second.restart_lane);
-  EXPECT_TRUE(second.quarantine_lane);
   EXPECT_TRUE(second.retry_batch);  // lane 1 is still alive to run it
   EXPECT_EQ(second.query_status, Status::kUnavailable);
   EXPECT_EQ(sup.state(0), LaneState::kQuarantined);
@@ -108,7 +105,7 @@ TEST(Supervisor, NoRetryWhenAttemptsExhaustedOrNoLaneLeft) {
     // Single lane quarantined on its first lane-fatal failure: no lane
     // is left to retry on, whatever the attempt budget says.
     const auto d = sup.on_failure(0, Status::kUnavailable, 0);
-    EXPECT_TRUE(d.quarantine_lane);
+    EXPECT_EQ(sup.state(0), LaneState::kQuarantined);
     EXPECT_FALSE(d.retry_batch);
     EXPECT_EQ(sup.live_lanes(), 0);
   }

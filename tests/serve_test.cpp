@@ -4,6 +4,8 @@
 // partitioned graph must agree with a single lane (the TSan target for
 // this subsystem).
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -145,6 +147,37 @@ TEST(Serve, ConcurrentLanesMatchSingleLane) {
     EXPECT_EQ(golden[i].depth, results[i].depth);
     EXPECT_EQ(golden[i].dist, results[i].dist);
   }
+}
+
+TEST(Serve, OpenLoopAtTimeZeroPacksLikeClosedLoop) {
+  // Both modes batch through one admit step, and a batch takes its
+  // queue index when it opens: with every arrival at t = 0 the open
+  // loop packs, numbers and sums exactly like the closed loop.
+  const auto queries = serve::generate_queries(serve_graph(), 300, 21, true);
+  serve::QueryService closed(serve_graph(), options_for(2, 2, 16));
+  const auto golden = closed.run(queries);
+  serve::QueryService open(serve_graph(), options_for(2, 2, 16));
+  const std::vector<double> at_zero(queries.size(), 0.0);
+  const auto results = open.run_open_loop(queries, at_zero);
+  ASSERT_EQ(golden.size(), results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(golden[i].batch, results[i].batch) << "query " << i;
+    EXPECT_EQ(golden[i].status, results[i].status) << "query " << i;
+    EXPECT_EQ(golden[i].reachable, results[i].reachable) << "query " << i;
+    EXPECT_EQ(golden[i].depth, results[i].depth) << "query " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(golden[i].dist),
+              std::bit_cast<std::uint32_t>(results[i].dist))
+        << "query " << i;
+  }
+  const serve::ServeStats& a = closed.stats();
+  const serve::ServeStats& b = open.stats();
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.bfs_batches, b.bfs_batches);
+  EXPECT_EQ(a.sssp_batches, b.sssp_batches);
+  EXPECT_EQ(a.total_edges, b.total_edges);
+  EXPECT_EQ(a.total_comm_bytes, b.total_comm_bytes);
+  EXPECT_EQ(a.modeled_compute_s, b.modeled_compute_s);
+  EXPECT_EQ(a.modeled_comm_s, b.modeled_comm_s);
 }
 
 TEST(Serve, BackToBackRunsReuseLaneState) {
