@@ -30,8 +30,8 @@ struct Variant {
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"gpus"});
-  const int gpus = static_cast<int>(options.get_int("gpus", 4));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const int gpus = bench::flag(options, "gpus", 4, 1, bench::kMaxGpus);
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   const std::vector<Variant> variants = {
       {"selective + dup-all + fused", core::CommStrategy::kSelective,

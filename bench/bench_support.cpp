@@ -14,6 +14,7 @@
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/stats_io.hpp"
 #include "vgpu/trace.hpp"
@@ -41,14 +42,12 @@ bool g_wire_format_set = false;
 // and all modeled quantities are bit-identical at any value.
 int g_host_threads = 0;
 bool g_host_threads_set = false;
+}  // namespace
 
-// A rejected flag is a usage error, not a crash: print the message and
-// exit with status 2, so a script or CTest can tell the two apart.
-[[noreturn]] void reject_flag(const Error& e) {
+void reject_flag(const Error& e) {
   std::fprintf(stderr, "%s\n", e.what());
   std::exit(2);
 }
-}  // namespace
 
 VertexT pick_source(const graph::Graph& g) {
   VertexT best = 0;
@@ -149,24 +148,10 @@ Outcome run_primitive(const std::string& primitive, const graph::Graph& g,
 }
 
 QueryWorkload parse_query_workload(const util::Options& options,
-                                   QueryWorkload defaults) try {
-  // Range-check the parsed values before narrowing them, so -1 or
-  // 2^32 + 1 cannot wrap into range.
-  const long long queries = options.get_int(
-      "queries", static_cast<long long>(defaults.queries));
-  const long long batch_width =
-      options.get_int("batch-width", defaults.batch_width);
-  MGG_REQUIRE(queries >= 1, "--queries must be >= 1");
-  MGG_REQUIRE(batch_width >= 1 && batch_width <= 64,
-              "--batch-width must be in [1, 64]");
-  QueryWorkload w = defaults;
-  w.queries = static_cast<std::size_t>(queries);
-  w.seed = static_cast<std::uint64_t>(options.get_int(
-      "query-seed", static_cast<long long>(defaults.seed)));
-  w.batch_width = static_cast<int>(batch_width);
-  return w;
-} catch (const Error& e) {
-  reject_flag(e);
+                                   QueryWorkload defaults) {
+  return {flag(options, "queries", defaults.queries, 1),
+          flag(options, "query-seed", defaults.seed, 0),
+          flag(options, "batch-width", defaults.batch_width, 1, 64)};
 }
 
 std::vector<std::string> suite_datasets(const std::string& suite) {
@@ -194,7 +179,7 @@ util::Options parse_common(int argc, char** argv,
   options.check_unknown(known);
   g_trace_path = options.get_string("trace", "");
   g_fault_plan = options.get_string("fault-plan", "");
-  g_fault_seed = static_cast<std::uint64_t>(options.get_int("fault-seed", 0));
+  g_fault_seed = flag<std::uint64_t>(options, "fault-seed", 0, 0);
   const std::string wire = options.get_string("wire-format", "");
   g_wire_format_set = !wire.empty();
   if (g_wire_format_set) {
@@ -203,7 +188,8 @@ util::Options parse_common(int argc, char** argv,
   }
   g_host_threads_set = options.has("host-threads");
   if (g_host_threads_set) {
-    g_host_threads = static_cast<int>(options.get_int("host-threads", 0));
+    g_host_threads =
+        flag(options, "host-threads", 0, 0, util::ThreadPool::kMaxWorkers);
     std::fprintf(stderr, "[host] worker threads override: %d\n",
                  g_host_threads);
   }

@@ -13,11 +13,11 @@
 //   --wire-format=F             frontier-push wire format for every run:
 //                               raw | bitmap | varint | auto
 //                               (core::parse_wire_format; default raw)
-//   --host-threads=N            host worker threads per run (0 = auto =
-//                               hardware concurrency capped at 8;
-//                               wall-clock only — results, W, H, and
-//                               modeled times are bit-identical at any
-//                               value)
+//   --host-threads=N            host worker threads per run, 0..64
+//                               (0 = auto = hardware concurrency capped
+//                               at 8; wall-clock only — results, W, H,
+//                               and modeled times are bit-identical at
+//                               any value)
 //   --queries=N                 point queries per serve workload
 //                               (serve-layer benches; others ignore it)
 //   --query-seed=N              query-workload generator seed — the
@@ -25,23 +25,68 @@
 //                               (graph, N, seed)
 //   --batch-width=N             max distinct sources per serve batch
 //                               (1..64)
-// plus binary-specific flags documented in each main().
+// plus binary-specific flags documented in each main(). Every numeric
+// flag is read through flag(), which range-checks it.
 #pragma once
 
 #include <initializer_list>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
+#include "util/error.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "vgpu/cost.hpp"
 #include "vgpu/machine.hpp"
 
 namespace mgg::bench {
+
+/// The largest --gpus, --max-gpus or --lanes value: every vGPU runs one
+/// control thread, so no flag may ask for thousands of them.
+inline constexpr int kMaxGpus = 64;
+
+/// A rejected flag is a usage error, not a crash: print the message and
+/// exit with status 2, so a script or CTest can tell the two apart.
+[[noreturn]] void reject_flag(const Error& e);
+
+/// The numeric flag `key` (`fallback` when absent), range-checked
+/// against [lo, hi] before it is narrowed to T, so that -1 or 2^32 + 2
+/// cannot wrap into range. A malformed or out-of-range value prints
+/// "--key must be in [lo, hi]" (">= lo" when hi is T's maximum) and
+/// exits with status 2.
+template <typename T>
+T flag(const util::Options& options, const std::string& key, T fallback,
+       std::type_identity_t<T> lo,
+       std::type_identity_t<T> hi = std::numeric_limits<T>::max()) try {
+  if constexpr (std::is_floating_point_v<T>) {
+    const double value = options.get_double(key, fallback);
+    if (value >= lo && value <= hi) return static_cast<T>(value);
+  } else {
+    const long long value =
+        options.get_int(key, static_cast<long long>(fallback));
+    if (std::cmp_greater_equal(value, lo) && std::cmp_less_equal(value, hi)) {
+      return static_cast<T>(value);
+    }
+  }
+  std::ostringstream what;
+  what << "--" << key << " must be ";
+  if (hi == std::numeric_limits<T>::max()) {
+    what << ">= " << lo;
+  } else {
+    what << "in [" << lo << ", " << hi << "]";
+  }
+  throw Error(Status::kInvalidArgument, what.str());
+} catch (const Error& e) {
+  reject_flag(e);
+}
 
 /// One primitive run's outcome in bench terms.
 struct Outcome {

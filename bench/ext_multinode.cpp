@@ -118,7 +118,7 @@ bool same_items(const Cell& a, const Cell& b) {
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_common(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   const auto ds = graph::build_dataset("rmat_n22_128", seed);
   const double scale = bench::dataset_scale(ds);

@@ -20,8 +20,8 @@
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"gpus"});
-  const int gpus = static_cast<int>(options.get_int("gpus", 4));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const int gpus = bench::flag(options, "gpus", 4, 1, bench::kMaxGpus);
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   // The paper's Fig. 2 datasets: kron, soc-orkut, uk-2002.
   const std::vector<std::string> datasets = {"kron_n24_32", "soc-orkut",

@@ -33,8 +33,8 @@ mgg::graph::Graph scaled_rmat(int paper_scale, double edge_factor,
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"max-gpus"});
-  const int max_gpus = static_cast<int>(options.get_int("max-gpus", 8));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const int max_gpus = bench::flag(options, "max-gpus", 8, 1, bench::kMaxGpus);
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
   const double ws = static_cast<double>(1u << kScaleReduction);
 
   const std::vector<std::string> primitives = {"dobfs", "bfs", "pr"};

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"max-gpus"});
   const auto suite = options.get_string("suite", "default");
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
-  const int max_gpus = static_cast<int>(options.get_int("max-gpus", 6));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
+  const int max_gpus = bench::flag(options, "max-gpus", 6, 1, bench::kMaxGpus);
 
   std::map<std::string, std::vector<std::string>> families;
   if (suite == "fast") {

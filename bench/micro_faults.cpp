@@ -84,12 +84,13 @@ int main(int argc, char** argv) {
   using namespace mgg;
   const auto options =
       bench::parse_common(argc, argv, {"gpus", "json", "scale"});
-  const int scale = static_cast<int>(options.get_int("scale", 12));
-  const int gpus = static_cast<int>(options.get_int("gpus", 2));
+  const int scale = bench::flag(options, "scale", 12, 1, 30);
+  const int gpus = bench::flag(options, "gpus", 2, 1, bench::kMaxGpus);
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
   const std::string json_path = options.get_string("json", "BENCH_faults.json");
 
-  const graph::Graph g = graph::build_undirected(graph::make_rmat(
-      scale, 8, graph::RmatParams::gtgraph(), options.get_int("seed", 1)));
+  const graph::Graph g = graph::build_undirected(
+      graph::make_rmat(scale, 8, graph::RmatParams::gtgraph(), seed));
   const VertexT src = bench::pick_source(g);
 
   core::Config cfg;

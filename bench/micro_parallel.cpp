@@ -240,14 +240,13 @@ int main(int argc, char** argv) {
   using namespace mgg;
   const auto options =
       bench::parse_common(argc, argv, {"ef", "iters", "json", "reps", "scale"});
-  const int scale = static_cast<int>(options.get_int("scale", 13));
-  const double ef = options.get_double("ef", 16);
-  const int iters = static_cast<int>(options.get_int("iters", 30));
-  const int reps = static_cast<int>(options.get_int("reps", 3));
+  const int scale = bench::flag(options, "scale", 13, 1, 30);
+  const double ef = bench::flag(options, "ef", 16.0, 1.0);
+  const int iters = bench::flag(options, "iters", 30, 1);
+  const int reps = bench::flag(options, "reps", 3, 1);
   const std::string json_path =
       options.get_string("json", "BENCH_parallel.json");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   const graph::Graph g = graph::build_undirected(
       graph::make_rmat(scale, ef, graph::RmatParams::gtgraph(), seed));

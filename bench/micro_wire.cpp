@@ -79,8 +79,8 @@ bool check(bool ok, const char* what, const std::string& label) {
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"scale", "edge-factor"});
-  const int scale = static_cast<int>(options.get_int("scale", 10));
-  const double edge_factor = options.get_double("edge-factor", 16);
+  const int scale = bench::flag(options, "scale", 10, 1, 30);
+  const double edge_factor = bench::flag(options, "edge-factor", 16.0, 1.0);
 
   const auto g =
       graph::build_undirected(graph::make_rmat(scale, edge_factor));

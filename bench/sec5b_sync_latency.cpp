@@ -70,11 +70,10 @@ bool counters_match(const mgg::vgpu::RunStats& a,
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"chain", "json", "max-gpus", "rmat-scale"});
-  const auto chain_n =
-      static_cast<VertexT>(options.get_int("chain", 4096));
-  const int max_gpus = static_cast<int>(options.get_int("max-gpus", 6));
-  const int rmat_scale = static_cast<int>(options.get_int("rmat-scale", 10));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto chain_n = bench::flag<VertexT>(options, "chain", 4096, 2);
+  const int max_gpus = bench::flag(options, "max-gpus", 6, 1, bench::kMaxGpus);
+  const int rmat_scale = bench::flag(options, "rmat-scale", 10, 1, 30);
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
   const std::string json_path =
       options.get_string("json", "BENCH_sync.json");
 

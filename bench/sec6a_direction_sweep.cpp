@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   const auto ds = graph::build_dataset("soc-orkut", seed);
   const double scale = bench::dataset_scale(ds);

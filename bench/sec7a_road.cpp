@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   util::Table table("Sec. VII-A: road networks vs power-law scaling");
   table.set_columns({"graph", "algo", "D~", "1 GPU ms", "2 GPU ms",

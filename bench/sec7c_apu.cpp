@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   util::Table table("Sec. VII-C: 1x K40 vs APU, BFS (modeled)");
   table.set_columns({"graph", "K40 ms", "APU ms", "K40/APU speedup",

@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
   bench::QueryWorkload defaults;
   defaults.queries = 96;
   const auto workload = bench::parse_query_workload(options, defaults);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
-  const int lanes = static_cast<int>(options.get_int("lanes", 3));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
+  const int lanes = bench::flag(options, "lanes", 3, 1, bench::kMaxGpus);
 
   const auto ds = graph::build_dataset(kDataset, seed);
   const auto& g = ds.graph;

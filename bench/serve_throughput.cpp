@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"lanes", "offered-qps"});
   const auto workload = bench::parse_query_workload(options);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
-  const int lanes = static_cast<int>(options.get_int("lanes", 2));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
+  const int lanes = bench::flag(options, "lanes", 2, 1, bench::kMaxGpus);
+  const double offered_qps = bench::flag(options, "offered-qps", 2000, 1);
 
   bool ok = true;
 
@@ -219,8 +220,6 @@ int main(int argc, char** argv) {
   // no thresholds — the only hard check is lossless accounting.
   // ----------------------------------------------------------------
   {
-    const double offered_qps =
-        static_cast<double>(options.get_int("offered-qps", 2000));
     serve::ServeOptions opts;
     opts.config = config_for(kGateGpus, seed);
     opts.batch_width = workload.batch_width;

@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv, {"family", "full"});
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
   const auto family = options.get_string("family", "");
   const bool full = options.get_bool("full", false);
 

@@ -31,7 +31,7 @@ struct Row {
 int main(int argc, char** argv) {
   using namespace mgg;
   const auto options = bench::parse_common(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
+  const auto seed = bench::flag<std::uint64_t>(options, "seed", 1, 0);
 
   const std::vector<Row> rows = {
       {"uk-2002", "bfs", "GraphReduce 1xK40", 49, 1, 0.059},

@@ -17,14 +17,13 @@ namespace {
 
 /// `factor * n` edges as a SizeT. A product at or past 2^digits is
 /// rejected before the conversion, which would be undefined behaviour.
-SizeT edge_count(const char* generator, int scale, double factor,
-                 VertexT n) {
+SizeT edge_count(int scale, double factor, VertexT n) {
   const double edges = factor * static_cast<double>(n);
   if (edges < std::ldexp(1.0, std::numeric_limits<SizeT>::digits)) {
     return static_cast<SizeT>(edges);
   }
   std::ostringstream what;
-  what << generator << " scale " << scale << " with edge factor "
+  what << "rmat scale " << scale << " with edge factor "
        << std::setprecision(17) << factor << " exceeds "
        << std::numeric_limits<SizeT>::max() << " edges";
   throw Error(Status::kInvalidArgument, what.str());
@@ -58,7 +57,7 @@ GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
   MGG_REQUIRE(std::abs(sum - 1.0) < 1e-6, "rmat params must sum to 1");
 
   const VertexT n = VertexT{1} << scale;
-  const SizeT m = edge_count("rmat", scale, edge_factor, n);
+  const SizeT m = edge_count(scale, edge_factor, n);
 
   GraphCoo coo;
   coo.num_vertices = n;
@@ -219,58 +218,6 @@ GraphCoo make_web(VertexT num_hosts, VertexT pages_per_host,
         host_endpoints[h].push_back(v);
       }
     }
-  }
-  return coo;
-}
-
-GraphCoo make_small_world(VertexT num_vertices, int k, double beta,
-                          std::uint64_t seed) {
-  MGG_REQUIRE(k >= 1 && static_cast<VertexT>(2 * k) < num_vertices,
-              "small-world k out of range");
-  MGG_REQUIRE(beta >= 0 && beta <= 1, "beta must be a probability");
-  GraphCoo coo;
-  coo.num_vertices = num_vertices;
-  coo.reserve(static_cast<std::size_t>(num_vertices) * k);
-  Rng rng(seed);
-  for (VertexT v = 0; v < num_vertices; ++v) {
-    for (int j = 1; j <= k; ++j) {
-      VertexT u = static_cast<VertexT>((v + j) % num_vertices);
-      if (rng.next_bool(beta)) {
-        // Rewire to a uniform endpoint (avoiding the trivial self loop;
-        // duplicate edges are cleaned by the usual pipeline).
-        u = static_cast<VertexT>(rng.next_below(num_vertices));
-        if (u == v) u = static_cast<VertexT>((v + 1) % num_vertices);
-      }
-      coo.add_edge(v, u);
-    }
-  }
-  return coo;
-}
-
-GraphCoo make_kronecker(int scale, double edges_per_vertex,
-                        const RmatParams& initiator, std::uint64_t seed) {
-  MGG_REQUIRE(scale >= 1 && scale < 31, "kronecker scale out of range");
-  MGG_REQUIRE(edges_per_vertex > 0,
-              "kronecker edges per vertex must be positive");
-  const double sum =
-      initiator.a + initiator.b + initiator.c + initiator.d;
-  MGG_REQUIRE(std::abs(sum - 1.0) < 1e-6, "initiator must sum to 1");
-  const VertexT n = VertexT{1} << scale;
-  const SizeT m = edge_count("kronecker", scale, edges_per_vertex, n);
-  GraphCoo coo;
-  coo.num_vertices = n;
-  coo.reserve(m);
-  Rng rng(seed);
-  // Noise-free per-level descent: exactly the R-MAT recursion with the
-  // initiator probabilities fixed at every level (Graph500 style).
-  const double ab = initiator.a + initiator.b;
-  const double abc = ab + initiator.c;
-  for (SizeT e = 0; e < m; ++e) {
-    VertexT u = 0, v = 0;
-    for (int level = 0; level < scale; ++level) {
-      descend(rng.next_double(), initiator.a, ab, abc, u, v);
-    }
-    coo.add_edge(u, v);
   }
   return coo;
 }

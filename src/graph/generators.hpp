@@ -71,26 +71,6 @@ GraphCoo make_web(VertexT num_hosts, VertexT pages_per_host,
 /// per BFS iteration).
 GraphCoo make_chain(VertexT num_vertices);
 
-/// Watts-Strogatz small world: a ring lattice where each vertex links
-/// to its k nearest neighbors, with each edge rewired to a uniform
-/// random endpoint with probability beta. High clustering with low
-/// diameter — a structural middle ground between road grids and
-/// power-law graphs, useful for partitioner studies.
-GraphCoo make_small_world(VertexT num_vertices, int k, double beta,
-                          std::uint64_t seed = 1);
-
-/// Exact Kronecker product graph: the initiator matrix {a,b;c,d} is
-/// Kronecker-powered `scale` times and each cell is sampled as a
-/// Bernoulli edge. This is the noise-free counterpart of make_rmat
-/// (Graph500's generator family); expected edges ~ (a+b+c+d)^scale.
-/// Practical for scale <= ~16 (the sampler is O(4^scale_splits) work
-/// per edge via per-level descent, like R-MAT but without
-/// renormalization noise). Throws kInvalidArgument when
-/// edges_per_vertex * 2^scale exceeds SizeT.
-GraphCoo make_kronecker(int scale, double edges_per_vertex,
-                        const RmatParams& initiator = RmatParams::gtgraph(),
-                        std::uint64_t seed = 1);
-
 /// Assign uniform random integer weights in [lo, hi] to every edge
 /// (the paper's SSSP setup uses [0, 64]).
 void assign_random_weights(GraphCoo& coo, int lo, int hi,

@@ -42,8 +42,6 @@ void SsspProblem::reset(VertexT src) {
 void SsspEnactor::reset(VertexT src) {
   sssp_problem_.reset(src);
   reset_frontiers();
-  threshold_ = options_.delta;
-  far_.assign(num_gpus(), {});
   const auto [host, host_local] = sssp_problem_.locate(src);
   const VertexT seed[] = {host_local};
   seed_frontier(host, seed);
@@ -54,34 +52,6 @@ void SsspEnactor::iteration_core(Slice& s) {
   const bool mark_preds = sssp_problem_.config().mark_predecessors;
   const auto& values = s.sub->csr.edge_values;
   const auto& local_to_global = s.sub->local_to_global;
-
-  if (near_far()) {
-    // The split needs queue semantics; a dense frontier converts back
-    // first (the conversion is a counted pass over the frontier).
-    if (s.frontier.input_to_sparse()) {
-      s.device->add_kernel_cost(0, s.frontier.input_size(), 1,
-                                "frontier_convert");
-    }
-    // Near-far split: keep only vertices below the current threshold
-    // in this superstep's frontier; defer the rest (one far-pile slot
-    // per vertex — re-deferrals are deduplicated by distance check at
-    // drain time).
-    const auto input = s.frontier.input();
-    std::vector<VertexT> near;
-    near.reserve(input.size());
-    for (const VertexT v : input) {
-      if (d.dist[v] < threshold_) {
-        near.push_back(v);
-      } else {
-        far_[s.gpu].push_back(v);
-      }
-    }
-    if (near.size() != input.size()) {
-      s.frontier.set_input(near);
-      s.device->add_kernel_cost(0, input.size(), 1,
-                                "nearfar_split");  // the split kernel
-    }
-  }
 
   // Stays on the sequential single-functor form deliberately: the
   // relaxation reads d.dist[src], which earlier edges of the *same*
@@ -137,38 +107,12 @@ void SsspEnactor::expand_incoming(Slice& s, const core::Message& msg) {
   }
 }
 
-bool SsspEnactor::converged(bool all_frontiers_empty,
-                            std::uint64_t /*iteration*/) {
-  if (!all_frontiers_empty) return false;
-  if (!near_far()) return true;
-  // Every near frontier drained: advance the threshold and requeue the
-  // far piles (runs exclusively between supersteps). Entries whose
-  // distance improved below an already-processed value are still
-  // correct — the relax condition re-checks at processing time.
-  bool any = false;
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    if (!far_[gpu].empty()) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return true;
-  threshold_ += options_.delta;
-  for (int gpu = 0; gpu < num_gpus(); ++gpu) {
-    auto& frontier = slice(gpu).frontier;
-    for (const VertexT v : far_[gpu]) frontier.append_input(v);
-    far_[gpu].clear();
-  }
-  return false;
-}
-
 SsspResult run_sssp(const graph::Graph& g, VertexT src,
-                    vgpu::Machine& machine, const core::Config& config,
-                    SsspOptions options) {
+                    vgpu::Machine& machine, const core::Config& config) {
   return run_with_degrade(machine, config, [&](const core::Config& cfg) {
     SsspProblem problem;
     problem.init(g, machine, cfg);
-    SsspEnactor enactor(problem, options);
+    SsspEnactor enactor(problem);
     enactor.reset(src);
 
     SsspResult result;

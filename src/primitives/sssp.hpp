@@ -27,18 +27,6 @@
 
 namespace mgg::prim {
 
-/// Optional near-far work scheduling (delta-stepping lite, an
-/// extension in the Gunrock family beyond the paper's six primitives).
-/// With delta > 0, each superstep relaxes only frontier vertices whose
-/// tentative distance is below the current threshold; the rest wait in
-/// a per-GPU far pile until every near frontier drains, then the
-/// threshold advances by delta. Processing near-first avoids relaxing
-/// edges from vertices whose distances are still likely to improve,
-/// cutting total edge work on weighted graphs.
-struct SsspOptions {
-  ValueT delta = 0;  ///< 0 disables near-far scheduling
-};
-
 class SsspProblem : public core::ProblemBase {
  public:
   struct DataSlice {
@@ -60,10 +48,8 @@ class SsspProblem : public core::ProblemBase {
 
 class SsspEnactor : public core::EnactorBase {
  public:
-  explicit SsspEnactor(SsspProblem& problem, SsspOptions options = {})
-      : core::EnactorBase(problem),
-        sssp_problem_(problem),
-        options_(options) {}
+  explicit SsspEnactor(SsspProblem& problem)
+      : core::EnactorBase(problem), sssp_problem_(problem) {}
 
   void reset(VertexT src);
 
@@ -78,25 +64,14 @@ class SsspEnactor : public core::EnactorBase {
                              std::span<const VertexT> sources,
                              ValueT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
-  bool converged(bool all_frontiers_empty, std::uint64_t iteration) override;
-  /// Relaxations are monotone min-updates, so bitmap iteration order is
-  /// safe (the near-far split converts back to a queue first).
+  /// Relaxations are monotone min-updates, so bitmap iteration order
+  /// is safe.
   bool dense_frontier_capable() const override { return true; }
-  /// Replayable: relaxations are monotone min-updates, and the near-far
-  /// split before the advance re-runs idempotently (deferred vertices
-  /// left the input frontier, so the far pile gets no duplicates).
+  /// Replayable: relaxations are monotone min-updates.
   bool core_replayable() const override { return true; }
 
  private:
-  bool near_far() const { return options_.delta > 0; }
-
   SsspProblem& sssp_problem_;
-  SsspOptions options_;
-  ValueT threshold_ = 0;
-  /// Deferred far-pile vertices per GPU (local IDs). Each entry is
-  /// written by its GPU's thread during the core; drained exclusively
-  /// by converged() between supersteps.
-  std::vector<std::vector<VertexT>> far_;
 };
 
 struct SsspResult {
@@ -109,7 +84,6 @@ struct SsspResult {
 /// overridden here to the paper's SSSP choice (duplicate-1-hop) unless
 /// the caller changed them; pass an explicit config to control fully.
 SsspResult run_sssp(const graph::Graph& g, VertexT src,
-                    vgpu::Machine& machine, const core::Config& config,
-                    SsspOptions options = {});
+                    vgpu::Machine& machine, const core::Config& config);
 
 }  // namespace mgg::prim

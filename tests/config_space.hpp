@@ -45,7 +45,7 @@
 
 namespace mgg::test::space {
 
-enum class Prim { kBfs, kDobfs, kSssp, kCc, kBc, kPr, kLp, kMsBfs, kMsSssp };
+enum class Prim { kBfs, kDobfs, kSssp, kCc, kBc, kPr, kMsBfs, kMsSssp };
 
 /// One point of the configuration space.
 struct Draw {
@@ -64,7 +64,7 @@ struct Draw {
 
 /// One run's gathered answer and statistics.
 struct Outcome {
-  std::vector<VertexT> labels;  ///< depths, components, communities
+  std::vector<VertexT> labels;  ///< depths, components
   std::vector<VertexT> preds;   ///< predecessors, when marked
   std::vector<ValueT> values;   ///< distances, ranks, centralities
   std::uint64_t extra = 0;      ///< DOBFS switches, BC iterations

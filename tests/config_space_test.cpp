@@ -1,7 +1,7 @@
 // One seeded property suite over the whole configuration space
 // (tests/config_space.hpp holds the invariants it asserts).
 //
-// Draw i runs primitive i mod 9 on machine shape i mod 13, so every
+// Draw i runs primitive i mod 8 on machine shape i mod 13, so every
 // (primitive, shape) pair occurs; a seeded util::Rng draws everything
 // else: the graph family and seed, the sources, the context knobs the
 // primitive accepts (partitioner, duplication, comm strategy) and every
@@ -31,7 +31,6 @@
 #include "primitives/bfs.hpp"
 #include "primitives/cc.hpp"
 #include "primitives/dobfs.hpp"
-#include "primitives/label_propagation.hpp"
 #include "primitives/multi_source.hpp"
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
@@ -43,8 +42,8 @@ namespace {
 
 using vgpu::RunStats;
 
-constexpr const char* kPrimNames[] = {"bfs", "dobfs", "sssp",  "cc",    "bc",
-                                      "pr",  "lp",    "msbfs", "mssssp"};
+constexpr const char* kPrimNames[] = {"bfs", "dobfs", "sssp",  "cc",
+                                      "bc",  "pr",    "msbfs", "mssssp"};
 constexpr int kNumPrims = static_cast<int>(std::size(kPrimNames));
 
 std::string describe(const Draw& d) {
@@ -105,10 +104,6 @@ Outcome run(const graph::Graph& g, const Draw& d, core::Config cfg) {
     case Prim::kPr: {
       auto r = prim::run_pagerank(g, machine, cfg);
       return {{}, {}, std::move(r.rank), 0, r.stats};
-    }
-    case Prim::kLp: {
-      auto r = prim::run_label_propagation(g, machine, cfg);
-      return {std::move(r.label), {}, {}, 0, r.stats};
     }
     case Prim::kMsBfs: {
       auto r = prim::run_msbfs(g, srcs, machine, cfg);
@@ -204,12 +199,6 @@ void expect_oracle(const graph::Graph& g, const Draw& d, const Outcome& o) {
                   "ranks vs cpu_pagerank");
       break;
     }
-    case Prim::kLp:
-      expect_bits(o.labels,
-                  prim::cpu_label_propagation(
-                      g, prim::LpOptions{}.max_iterations),
-                  "communities vs cpu_label_propagation");
-      break;
     case Prim::kMsBfs:
     case Prim::kMsSssp:
       ASSERT_EQ(d.prim == Prim::kMsBfs ? o.labels.size() : o.values.size(),
@@ -427,7 +416,9 @@ graph::Graph family_graph(std::string_view family, std::uint64_t seed,
 namespace {
 
 constexpr std::uint64_t kSuiteSeed = 5;
-constexpr int kDraws = 351;  // three passes over every (primitive, shape)
+// Three full passes over every (primitive, shape) pair take 312 draws;
+// the suite keeps its 351 draw indices, so the last 39 start a fourth.
+constexpr int kDraws = 351;
 
 struct Shape {
   int gpus;
@@ -436,6 +427,7 @@ struct Shape {
 constexpr Shape kShapes[] = {{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1},
                              {6, 1}, {7, 1}, {8, 1}, {2, 2}, {4, 2},
                              {6, 3}, {8, 2}, {8, 4}};
+static_assert(kDraws >= 3 * kNumPrims * static_cast<int>(std::size(kShapes)));
 
 constexpr core::SyncMode kSyncs[] = {core::SyncMode::kBspBarrier,
                                      core::SyncMode::kEventPipeline};
@@ -478,9 +470,9 @@ constexpr int kDimSize[kDims] = {
 bool batched(Prim p) { return p == Prim::kMsBfs || p == Prim::kMsSssp; }
 bool weighted(Prim p) { return p == Prim::kSssp || p == Prim::kMsSssp; }
 
-/// Whether dimension `dim` is drawn for `p`: DOBFS, CC, BC and LP fix
-/// their duplication and comm strategy, predecessors are drawn for BFS
-/// and batch widths for MsBfs/MsSssp only.
+/// Whether dimension `dim` is drawn for `p`: DOBFS, CC and BC fix their
+/// duplication and comm strategy, predecessors are drawn for BFS and
+/// batch widths for MsBfs/MsSssp only.
 bool applies(Prim p, int dim) {
   const bool dup_free = p == Prim::kBfs || p == Prim::kSssp ||
                         p == Prim::kPr || batched(p);

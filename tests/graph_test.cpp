@@ -316,11 +316,10 @@ TEST(Generators, RmatIsSkewed) {
 // An edge count factor * 2^scale past SizeT is rejected as an invalid
 // argument naming scale and factor; converting it would be undefined
 // behaviour.
-template <typename Generate>
-void expect_edge_count_rejected(Generate generate, int scale, double factor,
+void expect_edge_count_rejected(int scale, double factor,
                                 const std::string& factor_text) {
   try {
-    generate(scale, factor);
+    graph::make_rmat(scale, factor);
     ADD_FAILURE() << "scale " << scale << ", factor " << factor_text
                   << " was accepted";
   } catch (const Error& e) {
@@ -337,28 +336,12 @@ TEST(Generators, RmatRejectsBadParams) {
   EXPECT_THROW(
       graph::make_rmat(8, 8, graph::RmatParams{0.5, 0.5, 0.5, 0.5}),
       Error);
-  const auto rmat = [](int scale, double factor) {
-    return graph::make_rmat(scale, factor);
-  };
-  expect_edge_count_rejected(rmat, 30, 64, "64");
-  expect_edge_count_rejected(rmat, 4, 268435456.5, "268435456.5");
+  expect_edge_count_rejected(30, 64, "64");
+  expect_edge_count_rejected(4, 268435456.5, "268435456.5");
 }
 
-TEST(Generators, KroneckerRejectsBadParams) {
-  EXPECT_THROW(graph::make_kronecker(0, 8), Error);
-  EXPECT_THROW(graph::make_kronecker(8, 0), Error);
-  EXPECT_THROW(
-      graph::make_kronecker(8, 8, graph::RmatParams{0.5, 0.5, 0.5, 0.5}),
-      Error);
-  const auto kronecker = [](int scale, double factor) {
-    return graph::make_kronecker(scale, factor);
-  };
-  expect_edge_count_rejected(kronecker, 30, 64, "64");
-  expect_edge_count_rejected(kronecker, 4, 268435456.5, "268435456.5");
-}
-
-// The quadrant choice as the else-if chain it replaced, for the
-// generators' branch-free descent to be checked against.
+// The quadrant choice as the else-if chain it replaced, for make_rmat's
+// branch-free descent to be checked against.
 void reference_quadrant(double r, double a, double b, double c, VertexT& u,
                         VertexT& v) {
   u <<= 1;
@@ -400,26 +383,6 @@ GraphCoo reference_rmat(int scale, double edge_factor,
   return coo;
 }
 
-GraphCoo reference_kronecker(int scale, double edges_per_vertex,
-                             const graph::RmatParams& initiator,
-                             std::uint64_t seed) {
-  const VertexT n = VertexT{1} << scale;
-  const SizeT m =
-      static_cast<SizeT>(edges_per_vertex * static_cast<double>(n));
-  GraphCoo coo;
-  coo.num_vertices = n;
-  util::Rng rng(seed);
-  for (SizeT e = 0; e < m; ++e) {
-    VertexT u = 0, v = 0;
-    for (int level = 0; level < scale; ++level) {
-      reference_quadrant(rng.next_double(), initiator.a, initiator.b,
-                         initiator.c, u, v);
-    }
-    coo.add_edge(u, v);
-  }
-  return coo;
-}
-
 const graph::RmatParams kDescentParams[] = {
     graph::RmatParams::gtgraph(), graph::RmatParams::merrill(),
     {0.25, 0.25, 0.25, 0.25}, {0.05, 0.05, 0.1, 0.8}};
@@ -441,22 +404,6 @@ TEST(Generators, RmatMatchesReferenceDescent) {
                                        << params.a << ", noise " << noise
                                        << ", seed " << seed;
         }
-      }
-    }
-  }
-}
-
-TEST(Generators, KroneckerMatchesReferenceDescent) {
-  for (const int scale : {1, 6, 11}) {
-    for (const auto& params : kDescentParams) {
-      for (const std::uint64_t seed : {1ULL, 42ULL, 987654321ULL}) {
-        const auto got = graph::make_kronecker(scale, 4, params, seed);
-        const auto want = reference_kronecker(scale, 4, params, seed);
-        EXPECT_EQ(got.num_vertices, want.num_vertices);
-        EXPECT_EQ(got.src, want.src)
-            << "scale " << scale << ", a " << params.a << ", seed " << seed;
-        EXPECT_EQ(got.dst, want.dst)
-            << "scale " << scale << ", a " << params.a << ", seed " << seed;
       }
     }
   }
@@ -492,45 +439,6 @@ TEST(Generators, WebDeeperThanSocial) {
       graph::build_undirected(graph::make_web(120, 64, 10));
   EXPECT_GT(graph::estimate_diameter(web, 8),
             graph::estimate_diameter(social, 8));
-}
-
-TEST(Generators, SmallWorldStructure) {
-  // beta = 0: a pure ring lattice — degree exactly 2k, huge diameter.
-  const auto lattice = graph::build_undirected(
-      graph::make_small_world(400, 3, 0.0, 9));
-  const auto lattice_stats = graph::degree_stats(lattice);
-  EXPECT_EQ(lattice_stats.min_degree, 6u);
-  EXPECT_EQ(lattice_stats.max_degree, 6u);
-  const double lattice_diameter = graph::estimate_diameter(lattice, 6);
-
-  // beta = 0.1: same edge budget, but shortcuts collapse the diameter
-  // (the small-world effect).
-  const auto small_world = graph::build_undirected(
-      graph::make_small_world(400, 3, 0.1, 9));
-  EXPECT_LT(graph::estimate_diameter(small_world, 6),
-            lattice_diameter / 2);
-  EXPECT_EQ(graph::count_components(small_world), 1u);
-}
-
-TEST(Generators, SmallWorldRejectsBadParams) {
-  EXPECT_THROW(graph::make_small_world(10, 5, 0.1), Error);
-  EXPECT_THROW(graph::make_small_world(100, 2, 1.5), Error);
-}
-
-TEST(Generators, KroneckerMatchesRmatFamily) {
-  // The noise-free Kronecker generator produces the same family as
-  // R-MAT: skewed degrees concentrated on low vertex IDs.
-  const auto g = graph::build_undirected(
-      graph::make_kronecker(10, 8, graph::RmatParams::gtgraph(), 4));
-  EXPECT_EQ(g.num_vertices, 1024u);
-  SizeT low_half = 0;
-  for (VertexT v = 0; v < g.num_vertices / 2; ++v) low_half += g.degree(v);
-  EXPECT_GT(low_half, g.num_edges / 2);
-  EXPECT_GT(g.max_degree(), 10 * g.average_degree());
-  // Deterministic in seed.
-  const auto h = graph::build_undirected(
-      graph::make_kronecker(10, 8, graph::RmatParams::gtgraph(), 4));
-  EXPECT_TRUE(g == h);
 }
 
 TEST(Generators, WeightsInRange) {

@@ -132,7 +132,7 @@ TEST(Invariants, ClusterMachineRunsAllPrimitivesCorrectly) {
   const auto weighted = test::small_weighted_rmat(7, 5);
   for (const Prim prim :
        {Prim::kBfs, Prim::kDobfs, Prim::kSssp, Prim::kCc, Prim::kBc,
-        Prim::kPr, Prim::kLp, Prim::kMsBfs, Prim::kMsSssp}) {
+        Prim::kPr, Prim::kMsBfs, Prim::kMsSssp}) {
     const bool w = prim == Prim::kSssp || prim == Prim::kMsSssp;
     test::space::expect_holds(w ? weighted : g,
                               {.prim = prim, .gpus = 4, .nodes = 2});

@@ -70,45 +70,6 @@ TEST(Sssp, PredecessorsFormShortestPathTree) {
   }
 }
 
-class SsspNearFarSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(SsspNearFarSweep, MatchesDijkstraForAnyDelta) {
-  const auto g = test::small_weighted_rmat();
-  const VertexT src = first_connected_vertex(g);
-  auto machine = test_machine(3);
-  prim::SsspOptions options;
-  options.delta = static_cast<ValueT>(GetParam());
-  const auto result =
-      prim::run_sssp(g, src, machine, config_for(3), options);
-  const auto expected = baselines::cpu_sssp(g, src);
-  for (VertexT v = 0; v < g.num_vertices; ++v) {
-    if (std::isinf(expected[v])) {
-      EXPECT_TRUE(std::isinf(result.dist[v])) << v;
-    } else {
-      EXPECT_FLOAT_EQ(result.dist[v], expected[v]) << v;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Deltas, SsspNearFarSweep,
-                         ::testing::Values(4.0, 16.0, 32.0, 128.0, 1e9));
-
-TEST(Sssp, NearFarReducesEdgeWork) {
-  // Processing near-first avoids relaxing edges from vertices whose
-  // distances are about to improve: total edge work must drop vs plain
-  // Bellman-Ford frontier relaxation.
-  const auto g = test::small_weighted_rmat(9, 8);
-  const VertexT src = first_connected_vertex(g);
-  auto m1 = test_machine(2);
-  auto m2 = test_machine(2);
-  const auto plain = prim::run_sssp(g, src, m1, config_for(2));
-  prim::SsspOptions options;
-  options.delta = 24;
-  const auto near_far =
-      prim::run_sssp(g, src, m2, config_for(2), options);
-  EXPECT_LT(near_far.stats.total_edges, plain.stats.total_edges);
-}
-
 TEST(Sssp, ZeroWeightEdgesSupported) {
   graph::GraphCoo coo;
   coo.num_vertices = 4;
